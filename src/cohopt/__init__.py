@@ -10,6 +10,7 @@ from .errors import (
 )
 from .systems import (
     DEFAULT_ENUMERATION_CAP,
+    Conditioned,
     ContextPartition,
     DPolicy,
     ErgodicityReport,

@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from .samplers import RunRecord
 from .systems import (
     DEFAULT_ENUMERATION_CAP,
+    Conditioned,
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
@@ -289,40 +290,50 @@ def srm_select(
     break toward higher coherence, then lower policy index.
     """
     partition = system.partition
-    if candidates is None:
-        pool = list(partition.iter_policies(cap))
-    else:
-        pool = list(candidates)
-        if not pool:
-            raise ValidationError("empty candidate set")
     samples = [(int(c), int(a)) for c, a in train_samples]
     for c, a in samples:
         partition._check_slot(c, a)
     n_train = len(samples) if N is None else int(N)
     if samples and n_train < 1:
         raise ValidationError(f"N must be >= 1, got {n_train}")
-    log_term = _log_delta_term(delta)
+    signed_log_term = _signed(_log_delta_term(delta), sign_convention)
+    core = Conditioned(system, prior)
+    if candidates is None:
+        with np.errstate(divide="ignore"):
+            chi = np.log2(core.masses(cap))
+        index = np.arange(chi.size)
+    else:
+        pool = list(candidates)
+        if not pool:
+            raise ValidationError("empty candidate set")
+        chi = np.array([core.coherence_bits(core.validate(p)) for p in pool])
+        index = np.array([partition.policy_index(p.assignment) for p in pool])
+    alpha_train = None
+    if samples:
+        coords = np.unravel_index(index, partition.sizes)
+        alpha_train = sum(coords[c] == a for c, a in samples) / n_train
+    picked = _srm_pick(chi, alpha_train, n_train, signed_log_term)
+    return partition.policy_at(int(index[picked]))
 
-    best: tuple[float, float, int] | None = None
-    best_policy = pool[0]
-    for index, policy in enumerate(pool):
-        chi = coherence(system, prior, policy).bits
-        if samples:
-            alpha_train = (
-                sum(1 for c, a in samples if policy.assignment[c] == a) / n_train
-            )
-            radicand = (
-                -2.0 * chi + LOG2_E + _signed(log_term, sign_convention)
-            ) / (2.0 * n_train)
-            reg = math.sqrt(radicand) if radicand > 0.0 else 0.0
-            objective = alpha_train - reg
-        else:
-            objective = chi
-        key = (objective, chi, -index)
-        if best is None or key > best:
-            best = key
-            best_policy = policy
-    return best_policy
+
+def _srm_pick(
+    chi: np.ndarray,
+    alpha_train: np.ndarray | None,
+    n_train: int,
+    signed_log_term: float,
+) -> int:
+    """Position of the regularized-selection winner in a pool.
+
+    The objective is training accuracy minus the description-length
+    regularizer sqrt(max(0, (-2·chi + log2 e ± log2(1/delta)) / (2·n_train))),
+    or chi itself without training samples (alpha_train None). Ties go to
+    higher coherence, then to the lower position.
+    """
+    objective = chi
+    if alpha_train is not None:
+        radicand = (-2.0 * chi + LOG2_E + signed_log_term) / (2.0 * n_train)
+        objective = alpha_train - np.sqrt(np.maximum(radicand, 0.0))
+    return int(np.lexsort((np.arange(chi.size), -chi, -objective))[0])
 
 
 def distribution_entropy(q: PolicyDistribution) -> float:
@@ -538,11 +549,7 @@ def bound_validity_trials(
             or np.any(radicand_paper < 0)
         )
 
-        # regularized selection, vectorized (tie-break mirrors srm_select:
-        # higher objective, then higher coherence, then lower index)
-        objective = alpha_train - bound_corrected
-        order = np.lexsort((np.arange(count), -chi, -objective))
-        picked = int(order[0])
+        picked = _srm_pick(chi, alpha_train, n_train, log_term)
         gap_truth = -2.0 * float(chi[truth_index]) + LOG2_E
         floor = 1.0 - math.sqrt((2.0 * gap_truth + 2.0 * log_term) / n_train)
         srm_accuracy = float(alpha_true[picked])

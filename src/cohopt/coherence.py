@@ -4,6 +4,9 @@ pointwise mutual information, and the quotient-system decompositions.
 Coherence is the base-2 log of the sequential joint probability of a list of
 behaviors under a prior policy state; its negation is a description length in
 bits. -inf is a first-class value (zero-probability steps), never an error.
+Policy coherence is computed in closed form by the inference core
+(:class:`~cohopt.systems.Conditioned`); sequence_coherence conditions step by
+step through infer() and serves as its independent oracle.
 """
 
 from __future__ import annotations
@@ -14,14 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConditioningError, EmptySupportError, ValidationError
+from .errors import DegenerateConditioningError, ValidationError
 from .systems import (
     DEFAULT_ENUMERATION_CAP,
-    PROB_ATOL,
+    Conditioned,
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
     infer,
+    temper,
     validate_policy,
 )
 
@@ -43,8 +47,9 @@ __all__ = [
 class CoherenceValue:
     """Base-2 log probability, ≤ 0; -negated it is a code length in bits.
 
-    bits is -inf when some step had zero probability; failed_step then holds
-    the index of the first such step.
+    bits is -inf when the behaviors have zero probability. Only
+    sequence_coherence sets failed_step: the index of the first
+    zero-probability step.
     """
 
     bits: float
@@ -84,14 +89,15 @@ def sequence_coherence(
 def coherence(
     system: MixtureBayesSystem, prior: PolicyState, policy: DPolicy
 ) -> CoherenceValue:
-    """Coherence of a full d-policy relative to a prior state.
+    """Coherence of a full d-policy relative to a prior state, in closed
+    form: log2 ML(prior + policy) − log2 ML(prior).
 
-    Evaluated over contexts in index order; invariant under reordering for
-    chain-rule systems.
+    Raises DegenerateConditioningError when the prior has zero likelihood.
     """
     validate_policy(system.partition, policy)
-    pairs = list(enumerate(policy.assignment))
-    return sequence_coherence(system, prior, pairs)
+    return CoherenceValue(
+        bits=Conditioned(system, prior).coherence_bits(policy.assignment)
+    )
 
 
 @dataclass(frozen=True)
@@ -132,26 +138,14 @@ def softmax_over_coherence(
     """Exact X^beta by full enumeration: mass ∝ 2^(beta·coherence).
 
     beta = +inf collapses to the uniform distribution over all coherence
-    maximizers found within 1e-12 of the maximum.
+    maximizers found within 1e-12 bits of the maximum.
     """
     if beta <= 0:
         raise ValidationError(f"beta must be positive, got {beta}")
-    partition = system.partition
-    zero = PolicyState.zero()
-    chis = np.array(
-        [coherence(system, zero, pol).bits for pol in partition.iter_policies(cap)]
-    )
-    top = float(chis.max())
-    if top == -math.inf:
-        raise EmptySupportError("every d-policy has coherence -inf")
-    if math.isinf(beta):
-        support = (chis >= top - PROB_ATOL).astype(np.float64)
-        masses = support / support.sum()
-    else:
-        masses = np.exp2(beta * (chis - top))
-        masses /= masses.sum()
     return PolicyDistribution(
-        masses=masses, provenance="exact-softmax", sizes=partition.sizes
+        masses=temper(Conditioned(system).masses(cap), beta),
+        provenance="exact-softmax",
+        sizes=system.partition.sizes,
     )
 
 

@@ -27,7 +27,6 @@ from .coherence import coherence, sequence_coherence
 from .errors import ValidationError
 from .samplers import (
     SamplerConfig,
-    _Engine,
     gibbs_run,
     icm_hill_climb,
     mutual_predictability,
@@ -36,6 +35,7 @@ from .samplers import (
 )
 from .systems import (
     DEFAULT_ENUMERATION_CAP,
+    Conditioned,
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
@@ -411,12 +411,9 @@ def _coherence_only_choice(
     cap: int,
 ) -> DPolicy:
     """Exact argmax of the prior-anchored coherence over the sub-space."""
-    engine = _Engine(system, prior, contexts)
-    masses = engine.enumerate_conditional_masses(cap=cap)
-    best = int(np.argmax(masses))
-    return DPolicy(
-        tuple(int(a) for a in np.unravel_index(best, engine.sizes))
-    )
+    core = Conditioned(system, prior, contexts)
+    best = int(np.argmax(core.masses(cap)))
+    return DPolicy(tuple(int(a) for a in np.unravel_index(best, core.sizes)))
 
 
 def equivalence_study(

@@ -17,14 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import PolicyDistribution, coherence
+from .coherence import PolicyDistribution
 from .errors import ValidationError
 from .samplers import BootstrapResult, RunRecord
 from .systems import (
+    Conditioned,
     ContextPartition,
     DPolicy,
     MixtureBayesSystem,
-    PolicyState,
     from_joint_table,
 )
 
@@ -262,17 +262,19 @@ def write_distribution_csv(
     system: MixtureBayesSystem | None = None,
 ) -> Path:
     """One row per d-policy: behavior names joined by '|', mass, coherence in
-    bits; sorted by descending mass then lexicographic policy."""
-    zero = PolicyState.zero()
+    bits; sorted by descending mass then lexicographic policy.
+
+    Coherence comes from one enumeration of the system's policy masses, and
+    is nan when no system is given.
+    """
+    chis = np.full(len(distribution), math.nan)
+    if system is not None:
+        with np.errstate(divide="ignore"):
+            chis = np.log2(Conditioned(system).masses())
     rows = []
     for index in range(len(distribution)):
-        policy = partition.policy_at(index)
-        label = "|".join(partition.policy_names(policy))
-        chi = (
-            coherence(system, zero, policy).bits if system is not None
-            else math.nan
-        )
-        rows.append((label, float(distribution.masses[index]), chi))
+        label = "|".join(partition.policy_names(partition.policy_at(index)))
+        rows.append((label, float(distribution.masses[index]), float(chis[index])))
     rows.sort(key=lambda row: (-row[1], row[0]))
     return write_rows_csv(
         path,

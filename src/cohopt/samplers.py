@@ -20,15 +20,16 @@ import numpy as np
 from .errors import DegenerateConditioningError, ValidationError
 from .systems import (
     DEFAULT_ENUMERATION_CAP,
-    PROB_ATOL,
+    LN2,
+    Conditioned,
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    _check_cap,
+    _tempered_weights,
     temper,
 )
 from .coherence import PolicyDistribution
-
-LN2 = math.log(2.0)
 
 __all__ = [
     "SamplerConfig",
@@ -146,133 +147,21 @@ class BootstrapResult:
     config: SamplerConfig
 
 
-class _Engine:
-    """Precomputed per-latent tables for fast conditional inference on a
-    context subset with a fixed prior state."""
-
-    def __init__(
-        self,
-        system: MixtureBayesSystem,
-        prior: PolicyState | None,
-        contexts: Sequence[int] | None,
-    ) -> None:
-        self.system = system
-        partition = system.partition
-        if contexts is None:
-            contexts = range(partition.n_contexts)
-        self.contexts = tuple(int(c) for c in contexts)
-        if len(set(self.contexts)) != len(self.contexts):
-            raise ValidationError("context subset has repeated indices")
-        for c in self.contexts:
-            partition._check_slot(c, 0)
-        self.prior = prior if prior is not None else PolicyState.zero()
-        self.sizes = tuple(partition.sizes[c] for c in self.contexts)
-        self.emissions = [system.emissions(c) for c in self.contexts]
-        self.log_emissions = [system.log_emissions(c) for c in self.contexts]
-        self.base = system.log_posterior_numerators(self.prior)
-        top = float(self.base.max())
-        if top == -math.inf:
-            raise DegenerateConditioningError(
-                "degenerate conditioning: prior state "
-                f"{self.prior.describe(partition)} has zero likelihood"
-            )
-        self.log_prior_ml = self._log_ml(self.base)
-
-    @staticmethod
-    def _log_ml(log_numerators: np.ndarray) -> float:
-        top = float(log_numerators.max())
-        if top == -math.inf:
-            return -math.inf
-        return top + math.log(float(np.exp(log_numerators - top).sum()))
-
-    def numerators(self, assignment: np.ndarray, skip: int | None = None) -> np.ndarray:
-        out = self.base.copy()
-        for j in range(len(self.contexts)):
-            if j != skip:
-                out += self.log_emissions[j][:, assignment[j]]
-        return out
-
-    def predictive(self, log_numerators: np.ndarray, position: int) -> np.ndarray:
-        """Unnormalized predictive masses for one position; None-safe callers
-        must check max(log_numerators) > -inf first."""
-        top = float(log_numerators.max())
-        weights = np.exp(log_numerators - top)
-        return weights @ self.emissions[position]
-
-    def coherence_bits(self, assignment: np.ndarray) -> float:
-        value = self._log_ml(self.numerators(assignment))
-        if value == -math.inf:
-            return -math.inf
-        return (value - self.log_prior_ml) / LN2
-
-    def enumerate_conditional_masses(
-        self, cap: int = DEFAULT_ENUMERATION_CAP, chunk: int = 4096
-    ) -> np.ndarray:
-        """Exact joint mass of every sub-policy given the prior, normalized."""
-        count = math.prod(self.sizes)
-        if count > cap:
-            raise ValidationError(
-                f"sub-policy space has {count} elements, above the cap of {cap}"
-            )
-        top = float(self.base.max())
-        base_weights = np.exp(self.base - top)
-        masses = np.empty(count)
-        for start in range(0, count, chunk):
-            stop = min(start + chunk, count)
-            coords = np.unravel_index(np.arange(start, stop), self.sizes)
-            lik = np.repeat(base_weights[:, None], stop - start, axis=1)
-            for j in range(len(self.contexts)):
-                lik *= self.emissions[j][:, coords[j]]
-            masses[start:stop] = lik.sum(axis=0)
-        total = masses.sum()
-        if total <= 0.0:
-            raise DegenerateConditioningError(
-                "degenerate conditioning: no sub-policy has positive mass"
-            )
-        return masses / total
-
-
-def _sample_index(p: np.ndarray, beta: float, u: float) -> int:
-    """Draw an index from temper(p / p.sum(), beta) using one uniform."""
-    top = float(p.max())
-    if math.isinf(beta):
-        support = np.nonzero(p >= top - PROB_ATOL * p.sum())[0]
-        return int(support[min(int(u * support.size), support.size - 1)])
-    if beta != 1.0:
-        q = np.zeros_like(p)
-        positive = p > 0
-        q[positive] = np.exp(beta * (np.log(p[positive]) - math.log(top)))
-    else:
-        q = p
-    cum = np.cumsum(q)
+def _draw(weights: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw from unnormalized weights with one uniform; never
+    lands on a zero weight."""
+    cum = np.cumsum(weights)
     idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    idx = min(idx, p.size - 1)
-    while q[idx] == 0.0 and idx > 0:
+    idx = min(idx, weights.size - 1)
+    while weights[idx] == 0.0 and idx > 0:
         idx -= 1
     return idx
 
 
-def _validate_initial(engine: _Engine, initial: DPolicy) -> np.ndarray:
-    if len(initial) != len(engine.contexts):
-        raise ValidationError(
-            f"initial policy has {len(initial)} coordinates for "
-            f"{len(engine.contexts)} covered contexts"
-        )
-    for j, a in enumerate(initial.assignment):
-        if not 0 <= a < engine.sizes[j]:
-            raise ValidationError(
-                f"initial behavior index {a} out of range at position {j}"
-            )
-    return np.array(initial.assignment, dtype=np.int64)
-
-
-def _warn_if_not_positive(engine: _Engine, beta: float) -> None:
-    if math.isinf(beta):
+def _warn_if_not_positive(core: Conditioned, beta: float) -> None:
+    if math.isinf(beta) or math.prod(core.sizes) > DEFAULT_ENUMERATION_CAP:
         return
-    if math.prod(engine.sizes) > DEFAULT_ENUMERATION_CAP:
-        return
-    masses = engine.enumerate_conditional_masses()
-    if np.any(masses <= 0.0):
+    if np.any(core.masses() <= 0.0):
         warnings.warn(
             "positivity check failed: some policies have zero mass; the chain "
             "may absorb and the stationary-distribution guarantee is void",
@@ -295,11 +184,11 @@ def gibbs_run(
 
     Reproducible per seed; each step changes at most one coordinate.
     """
-    engine = _Engine(system, prior, contexts)
+    core = Conditioned(system, prior, contexts)
     if check_positivity:
-        _warn_if_not_positive(engine, config.beta)
-    assignment = _validate_initial(engine, initial)
-    k = len(engine.contexts)
+        _warn_if_not_positive(core, config.beta)
+    assignment = core.validate(initial)
+    k = len(core.contexts)
     rng = np.random.default_rng(config.seed)
     picks = rng.integers(0, k, size=config.steps)
     uniforms = rng.random(config.steps)
@@ -307,42 +196,30 @@ def gibbs_run(
     trajectory = np.empty((config.steps + 1, k), dtype=np.int64)
     coherence_bits = np.empty(config.steps + 1)
     trajectory[0] = assignment
-    coherence_bits[0] = engine.coherence_bits(assignment)
+    coherence_bits[0] = core.coherence_bits(assignment)
     moves: list[tuple[int, ...]] = []
 
     for t in range(config.steps):
         j = int(picks[t])
-        numerators = engine.numerators(assignment, skip=j)
-        top = float(numerators.max())
-        if top == -math.inf:
-            raise DegenerateConditioningError(
-                f"degenerate conditioning at step {t}: leave-one-out state "
-                "has zero likelihood"
-            )
-        p = engine.predictive(numerators, j)
-        total = float(p.sum())
-        if total <= 0.0:
-            raise DegenerateConditioningError(
-                f"degenerate conditioning at step {t}: zero predictive mass"
-            )
-        a_new = _sample_index(p, config.beta, float(uniforms[t]))
+        p, top = core.leave_one_out(assignment, j)
+        a_new = _draw(_tempered_weights(p, config.beta), float(uniforms[t]))
         assignment[j] = a_new
         trajectory[t + 1] = assignment
         coherence_bits[t + 1] = (
-            top + math.log(float(p[a_new])) - engine.log_prior_ml
+            top + math.log(float(p[a_new])) - core.log_prior_ml
         ) / LN2
         moves.append((j,))
 
     return RunRecord(
         kind="gibbs",
-        contexts=engine.contexts,
-        sizes=engine.sizes,
+        contexts=core.contexts,
+        sizes=core.sizes,
         trajectory=trajectory,
         coherence_bits=coherence_bits,
         moves=moves,
         seed=config.seed,
         config=config,
-        prior_counts=dict(engine.prior.counts),
+        prior_counts=dict(core.prior.counts),
     )
 
 
@@ -363,11 +240,11 @@ def training_friendly_gibbs_run(
     (1−anchor_weight)·σ^β(current retained state); 0.5 is the equal-weight
     anchor rule, 0 the pure block sampler.
     """
-    engine = _Engine(system, prior, contexts)
+    core = Conditioned(system, prior, contexts)
     if check_positivity:
-        _warn_if_not_positive(engine, config.beta)
-    assignment = _validate_initial(engine, initial)
-    k = len(engine.contexts)
+        _warn_if_not_positive(core, config.beta)
+    assignment = core.validate(initial)
+    k = len(core.contexts)
     keep = int(math.floor(config.gamma * k))
     if keep < 1:
         raise ValidationError(
@@ -379,16 +256,16 @@ def training_friendly_gibbs_run(
     trajectory = np.empty((config.steps + 1, k), dtype=np.int64)
     coherence_bits = np.empty(config.steps + 1)
     trajectory[0] = assignment
-    coherence_bits[0] = engine.coherence_bits(assignment)
+    coherence_bits[0] = core.coherence_bits(assignment)
     moves: list[tuple[int, ...]] = []
     anchor_p: list[np.ndarray] | None = None
 
     for t in range(config.steps):
         kept = rng.permutation(k)[:keep]
         kept_set = set(int(j) for j in kept)
-        numerators = engine.base.copy()
+        numerators = core.base.copy()
         for j in kept_set:
-            numerators += engine.log_emissions[j][:, assignment[j]]
+            numerators += core.log_emissions[j][:, assignment[j]]
         top = float(numerators.max())
         if top == -math.inf:
             raise DegenerateConditioningError(
@@ -398,7 +275,7 @@ def training_friendly_gibbs_run(
         weights = np.exp(numerators - top)
         if t == 0 and lam > 0.0:
             # round-0 retained state is the anchor for all later rounds
-            anchor_p = [weights @ engine.emissions[j] for j in range(k)]
+            anchor_p = [weights @ core.emissions[j] for j in range(k)]
         resampled = tuple(j for j in range(k) if j not in kept_set)
         for j in resampled:
             use_anchor = False
@@ -408,27 +285,24 @@ def training_friendly_gibbs_run(
                 assert anchor_p is not None
                 p = anchor_p[j]
             else:
-                p = weights @ engine.emissions[j]
-            if float(p.sum()) <= 0.0:
-                raise DegenerateConditioningError(
-                    f"degenerate conditioning at round {t}: zero predictive "
-                    f"mass for position {j}"
-                )
-            assignment[j] = _sample_index(p, config.beta, float(rng.random()))
+                p = weights @ core.emissions[j]
+            assignment[j] = _draw(
+                _tempered_weights(p, config.beta), float(rng.random())
+            )
         trajectory[t + 1] = assignment
-        coherence_bits[t + 1] = engine.coherence_bits(assignment)
+        coherence_bits[t + 1] = core.coherence_bits(assignment)
         moves.append(resampled)
 
     return RunRecord(
         kind="tf-gibbs",
-        contexts=engine.contexts,
-        sizes=engine.sizes,
+        contexts=core.contexts,
+        sizes=core.sizes,
         trajectory=trajectory,
         coherence_bits=coherence_bits,
         moves=moves,
         seed=config.seed,
         config=config,
-        prior_counts=dict(engine.prior.counts),
+        prior_counts=dict(core.prior.counts),
     )
 
 
@@ -444,56 +318,47 @@ def debate_run(
     to the first's previous behavior, then the first responds to that fresh
     reply. Requires exactly two covered contexts.
     """
-    engine = _Engine(system, prior, contexts)
-    if len(engine.contexts) != 2:
+    core = Conditioned(system, prior, contexts)
+    if len(core.contexts) != 2:
         raise ValidationError(
-            f"debate needs exactly 2 contexts, got {len(engine.contexts)}"
+            f"debate needs exactly 2 contexts, got {len(core.contexts)}"
         )
     if check_positivity:
-        _warn_if_not_positive(engine, config.beta)
+        _warn_if_not_positive(core, config.beta)
     rng = np.random.default_rng(config.seed)
+    state = np.zeros(2, dtype=np.int64)  # (pro, con)
 
-    def conditional(position: int, other_value: int | None) -> np.ndarray:
-        numerators = engine.base.copy()
-        if other_value is not None:
-            numerators += engine.log_emissions[1 - position][:, other_value]
-        if float(numerators.max()) == -math.inf:
-            raise DegenerateConditioningError(
-                "degenerate conditioning during debate round"
-            )
-        p = engine.predictive(numerators, position)
-        if float(p.sum()) <= 0.0:
-            raise DegenerateConditioningError(
-                "degenerate conditioning during debate round"
-            )
-        return p
+    def respond(position: int, p: np.ndarray) -> None:
+        state[position] = _draw(
+            _tempered_weights(p, config.beta), float(rng.random())
+        )
 
-    pro = _sample_index(conditional(0, None), config.beta, float(rng.random()))
-    con = _sample_index(conditional(1, pro), config.beta, float(rng.random()))
+    respond(0, core.predictive(core.base, 0)[0])
+    respond(1, core.leave_one_out(state, 1)[0])
 
     trajectory = np.empty((config.steps + 1, 2), dtype=np.int64)
     coherence_bits = np.empty(config.steps + 1)
-    trajectory[0] = (pro, con)
-    coherence_bits[0] = engine.coherence_bits(trajectory[0])
+    trajectory[0] = state
+    coherence_bits[0] = core.coherence_bits(trajectory[0])
     moves: list[tuple[int, ...]] = []
 
     for t in range(config.steps):
-        con = _sample_index(conditional(1, pro), config.beta, float(rng.random()))
-        pro = _sample_index(conditional(0, con), config.beta, float(rng.random()))
-        trajectory[t + 1] = (pro, con)
-        coherence_bits[t + 1] = engine.coherence_bits(trajectory[t + 1])
+        respond(1, core.leave_one_out(state, 1)[0])
+        respond(0, core.leave_one_out(state, 0)[0])
+        trajectory[t + 1] = state
+        coherence_bits[t + 1] = core.coherence_bits(trajectory[t + 1])
         moves.append((0, 1))
 
     return RunRecord(
         kind="debate",
-        contexts=engine.contexts,
-        sizes=engine.sizes,
+        contexts=core.contexts,
+        sizes=core.sizes,
         trajectory=trajectory,
         coherence_bits=coherence_bits,
         moves=moves,
         seed=config.seed,
         config=config,
-        prior_counts=dict(engine.prior.counts),
+        prior_counts=dict(core.prior.counts),
     )
 
 
@@ -512,8 +377,8 @@ def simple_bootstrap_run(
     "random" for a seeded uniform permutation. config.steps is ignored; the
     walk length is the number of covered contexts.
     """
-    engine = _Engine(system, prior, contexts)
-    k = len(engine.contexts)
+    core = Conditioned(system, prior, contexts)
+    k = len(core.contexts)
     rng = np.random.default_rng(config.seed)
     if isinstance(context_order, str):
         if context_order != "random":
@@ -530,35 +395,25 @@ def simple_bootstrap_run(
             )
 
     assignment = np.zeros(k, dtype=np.int64)
-    numerators = engine.base.copy()
+    numerators = core.base.copy()
     trace: list[float] = []
     log2_mass = 0.0
-    for n, j in enumerate(order):
-        top = float(numerators.max())
-        if top == -math.inf:
-            raise DegenerateConditioningError(
-                f"degenerate conditioning at bootstrap step {n}"
-            )
-        p = engine.predictive(numerators, j)
-        total = float(p.sum())
-        if total <= 0.0:
-            raise DegenerateConditioningError(
-                f"degenerate conditioning at bootstrap step {n}"
-            )
-        tempered = temper(p / total, config.beta)
-        a = _sample_index(p, config.beta, float(rng.random()))
-        step_prob = float(tempered[a])
+    for j in order:
+        p, _ = core.predictive(numerators, j)
+        weights = _tempered_weights(p, config.beta)
+        a = _draw(weights, float(rng.random()))
+        step_prob = float(weights[a] / weights.sum())
         trace.append(step_prob)
         log2_mass += math.log2(step_prob) if step_prob > 0 else -math.inf
         assignment[j] = a
-        numerators = numerators + engine.log_emissions[j][:, a]
+        numerators = numerators + core.log_emissions[j][:, a]
 
     return BootstrapResult(
         policy=DPolicy(tuple(int(a) for a in assignment)),
         order=order,
         step_probabilities=tuple(trace),
         log2_mass=log2_mass,
-        contexts=engine.contexts,
+        contexts=core.contexts,
         seed=config.seed,
         config=config,
     )
@@ -575,45 +430,31 @@ def bootstrap_exact_distribution(
 ) -> PolicyDistribution:
     """Distribution over final assignments induced by the sequential sampler
     for one fixed visiting order, computed by full path enumeration."""
-    engine = _Engine(system, prior, contexts)
-    k = len(engine.contexts)
+    core = Conditioned(system, prior, contexts)
+    k = len(core.contexts)
     order = tuple(int(j) for j in context_order)
     if sorted(order) != list(range(k)):
         raise ValidationError(
             "context_order must visit each covered context exactly once"
         )
-    count = math.prod(engine.sizes)
-    if count > cap:
-        raise ValidationError(
-            f"sub-policy space has {count} elements, above the cap of {cap}"
-        )
+    count = math.prod(core.sizes)
+    _check_cap(count, cap)
     masses = np.empty(count)
     for index in range(count):
-        assignment = np.array(
-            np.unravel_index(index, engine.sizes), dtype=np.int64
-        )
-        numerators = engine.base.copy()
+        assignment = np.unravel_index(index, core.sizes)
+        numerators = core.base.copy()
         prob = 1.0
         for j in order:
-            top = float(numerators.max())
-            if top == -math.inf:
-                prob = 0.0
-                break
-            p = engine.predictive(numerators, j)
-            total = float(p.sum())
-            if total <= 0.0:
-                prob = 0.0
-                break
-            tempered = temper(p / total, beta)
-            step = float(tempered[assignment[j]])
+            p, _ = core.predictive(numerators, j)
+            step = float(temper(p, beta)[assignment[j]])
             if step <= 0.0:
                 prob = 0.0
                 break
             prob *= step
-            numerators = numerators + engine.log_emissions[j][:, assignment[j]]
+            numerators = numerators + core.log_emissions[j][:, assignment[j]]
         masses[index] = prob
     return PolicyDistribution(
-        masses=masses / masses.sum(), provenance="custom", sizes=engine.sizes
+        masses=masses / masses.sum(), provenance="custom", sizes=core.sizes
     )
 
 
@@ -629,23 +470,27 @@ def mutual_predictability(
     The leave-one-out analogue of coherence; -inf when some position's chosen
     behavior has zero conditional probability.
     """
-    engine = _Engine(system, prior, contexts)
-    assignment = _validate_initial(engine, policy)
+    core = Conditioned(system, prior, contexts)
+    return _mutual_predictability(core, core.validate(policy))
+
+
+def _mutual_predictability(core: Conditioned, assignment: np.ndarray) -> float:
     total = 0.0
-    for j in range(len(engine.contexts)):
-        numerators = engine.numerators(assignment, skip=j)
-        top = float(numerators.max())
-        if top == -math.inf:
-            raise DegenerateConditioningError(
-                f"degenerate conditioning at position {j}: leave-one-out "
-                "state has zero likelihood"
-            )
-        p = engine.predictive(numerators, j)
+    for j in range(len(core.contexts)):
+        p, _ = core.leave_one_out(assignment, j)
         mass = float(p[assignment[j]]) / float(p.sum())
         if mass <= 0.0:
             return -math.inf
         total += math.log2(mass)
     return total
+
+
+def _icm_score(core: Conditioned, assignment: np.ndarray) -> float:
+    """Mutual predictability, -inf where a leave-one-out state is impossible."""
+    try:
+        return _mutual_predictability(core, assignment)
+    except DegenerateConditioningError:
+        return -math.inf
 
 
 def icm_hill_climb(
@@ -668,45 +513,30 @@ def icm_hill_climb(
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    engine = _Engine(system, prior, contexts)
-    k = len(engine.contexts)
+    core = Conditioned(system, prior, contexts)
+    k = len(core.contexts)
     rng = np.random.default_rng(seed)
-
-    def score(assignment: np.ndarray) -> float:
-        total = 0.0
-        for j in range(k):
-            numerators = engine.numerators(assignment, skip=j)
-            top = float(numerators.max())
-            if top == -math.inf:
-                return -math.inf
-            p = engine.predictive(numerators, j)
-            mass = float(p[assignment[j]]) / float(p.sum())
-            if mass <= 0.0:
-                return -math.inf
-            total += math.log2(mass)
-        return total
-
-    starts = [_validate_initial(engine, initial)]
+    starts = [core.validate(initial)]
     for _ in range(restarts - 1):
         starts.append(
-            np.array([rng.integers(0, s) for s in engine.sizes], dtype=np.int64)
+            np.array([rng.integers(0, s) for s in core.sizes], dtype=np.int64)
         )
 
     best_assignment = starts[0].copy()
     best_score = -math.inf
     for start in starts:
         current = start.copy()
-        current_score = score(current)
+        current_score = _icm_score(core, current)
         for _ in range(max_iters):
             move = None
             move_score = current_score
             for j in range(k):
                 original = current[j]
-                for a in range(engine.sizes[j]):
+                for a in range(core.sizes[j]):
                     if a == original:
                         continue
                     current[j] = a
-                    candidate = score(current)
+                    candidate = _icm_score(core, current)
                     if candidate > move_score:
                         move, move_score = (j, a), candidate
                 current[j] = original
@@ -735,28 +565,17 @@ def gibbs_step_probability(
     Zero when the policies differ in more than one coordinate; for the
     diagonal it sums the per-coordinate stay probabilities.
     """
-    engine = _Engine(system, prior, contexts)
-    from_asg = _validate_initial(engine, policy_from)
-    to_asg = _validate_initial(engine, policy_to)
-    k = len(engine.contexts)
+    core = Conditioned(system, prior, contexts)
+    from_asg = core.validate(policy_from)
+    to_asg = core.validate(policy_to)
+    k = len(core.contexts)
     differing = [j for j in range(k) if from_asg[j] != to_asg[j]]
     if len(differing) > 1:
         return 0.0
 
     def resample_mass(position: int, target: int) -> float:
-        numerators = engine.numerators(from_asg, skip=position)
-        if float(numerators.max()) == -math.inf:
-            raise DegenerateConditioningError(
-                "degenerate conditioning: leave-one-out state has zero "
-                "likelihood"
-            )
-        p = engine.predictive(numerators, position)
-        total = float(p.sum())
-        if total <= 0.0:
-            raise DegenerateConditioningError(
-                "degenerate conditioning: zero predictive mass"
-            )
-        return float(temper(p / total, beta)[target])
+        p, _ = core.leave_one_out(from_asg, position)
+        return float(temper(p, beta)[target])
 
     if len(differing) == 1:
         j = differing[0]
@@ -780,16 +599,9 @@ def exact_conditional_distribution(
     """
     if beta <= 0:
         raise ValidationError(f"beta must be positive, got {beta}")
-    engine = _Engine(system, prior, contexts)
-    masses = engine.enumerate_conditional_masses(cap=cap)
-    if math.isinf(beta):
-        # ties within 1e-12 of the maximum on the log2 scale
-        top = masses.max()
-        support = (masses >= top * 2.0 ** (-PROB_ATOL)).astype(np.float64)
-        out = support / support.sum()
-    else:
-        out = masses**beta
-        out /= out.sum()
+    core = Conditioned(system, prior, contexts)
     return PolicyDistribution(
-        masses=out, provenance="exact-softmax", sizes=engine.sizes
+        masses=temper(core.masses(cap), beta),
+        provenance="exact-softmax",
+        sizes=core.sizes,
     )

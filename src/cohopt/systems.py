@@ -19,11 +19,13 @@ import numpy as np
 
 from .errors import (
     DegenerateConditioningError,
+    EmptySupportError,
     EnumerationCapError,
     ValidationError,
 )
 
 PROB_ATOL = 1e-12
+LN2 = math.log(2.0)
 JOINT_SUM_ATOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
@@ -32,6 +34,7 @@ __all__ = [
     "DPolicy",
     "PolicyState",
     "MixtureBayesSystem",
+    "Conditioned",
     "ErgodicityReport",
     "infer",
     "tempered_infer",
@@ -162,10 +165,7 @@ class ContextPartition:
 
     def iter_policies(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator["DPolicy"]:
         count = self.policy_count()
-        if count > cap:
-            raise EnumerationCapError(
-                f"policy space has {count} elements, above the cap of {cap}"
-            )
+        _check_cap(count, cap)
         for index in range(count):
             yield self.policy_at(index)
 
@@ -337,8 +337,8 @@ class MixtureBayesSystem:
         weights = np.array(latent_weights, dtype=np.float64, copy=True)
         if weights.ndim != 1 or weights.size == 0:
             raise ValidationError("latent_weights must be a non-empty vector")
-        if np.any(weights < 0):
-            raise ValidationError("latent_weights must be non-negative")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ValidationError("latent_weights must be finite and non-negative")
         if abs(float(weights.sum()) - 1.0) > PROB_ATOL:
             raise ValidationError(
                 f"latent_weights sum to {weights.sum()!r}, expected 1 ± {PROB_ATOL}"
@@ -356,8 +356,10 @@ class MixtureBayesSystem:
                     f"emissions[{c}] has shape {arr.shape}, expected "
                     f"{(weights.size, partition.sizes[c])}"
                 )
-            if np.any(arr < 0):
-                raise ValidationError(f"emissions[{c}] has negative entries")
+            if not np.all(np.isfinite(arr) & (arr >= 0)):
+                raise ValidationError(
+                    f"emissions[{c}] has negative or non-finite entries"
+                )
             sums = arr.sum(axis=1)
             bad = np.nonzero(np.abs(sums - 1.0) > PROB_ATOL)[0]
             if bad.size:
@@ -435,28 +437,39 @@ def infer(
     return predictive / total
 
 
+def _tempered_weights(p: np.ndarray, beta: float) -> np.ndarray:
+    """Unnormalized p^beta for masses p with a positive maximum.
+
+    p itself at beta 1, otherwise scaled so the maximum is 1. At beta = +inf
+    the indicator of the ties: entries within a factor 2^-1e-12 of the
+    maximum (1e-12 bits), a rule that does not depend on the scale of p.
+    """
+    top = float(p.max())
+    if math.isinf(beta):
+        return (p >= top * 2.0 ** (-PROB_ATOL)).astype(np.float64)
+    if beta == 1.0:
+        return p
+    out = np.zeros_like(p)
+    positive = p > 0
+    out[positive] = np.exp(beta * (np.log(p[positive]) - math.log(top)))
+    return out
+
+
 def temper(probabilities: np.ndarray, beta: float) -> np.ndarray:
     """Apply p -> p^beta to every mass and re-normalize.
 
-    beta may be +inf: uniform over the entries within 1e-12 of the maximum.
+    beta may be +inf: uniform over the entries within 1e-12 bits of the
+    maximum.
     """
     if beta <= 0:
         raise ValidationError(f"beta must be positive, got {beta}")
     p = np.asarray(probabilities, dtype=np.float64)
-    top = float(p.max())
-    if top <= 0.0:
+    if float(p.max()) <= 0.0:
         raise DegenerateConditioningError(
             "degenerate conditioning: all masses zero after tempering"
         )
-    if beta == 1.0:
-        return p / p.sum()
-    if math.isinf(beta):
-        support = (p >= top - PROB_ATOL).astype(np.float64)
-        return support / support.sum()
-    out = np.zeros_like(p)
-    positive = p > 0
-    out[positive] = np.exp(beta * (np.log(p[positive]) - math.log(top)))
-    return out / out.sum()
+    weights = _tempered_weights(p, beta)
+    return weights / weights.sum()
 
 
 def tempered_infer(
@@ -491,8 +504,8 @@ def from_joint_table(
         raise ValidationError(
             f"joint table has shape {table.shape}, expected {partition.sizes}"
         )
-    if np.any(table < 0):
-        raise ValidationError("joint table has negative entries")
+    if not np.all(np.isfinite(table) & (table >= 0)):
+        raise ValidationError("joint table has negative or non-finite entries")
     total = float(table.sum())
     if abs(total - 1.0) > JOINT_SUM_ATOL:
         raise ValidationError(
@@ -547,6 +560,38 @@ def check_chain_rule(
     return abs(lhs - rhs)
 
 
+def _check_cap(count: int, cap: int) -> None:
+    if count > cap:
+        raise EnumerationCapError(
+            f"policy space has {count} elements, above the cap of {cap}"
+        )
+
+
+def _enumerate_masses(
+    weights: np.ndarray,
+    emissions: Sequence[np.ndarray],
+    sizes: Sequence[int],
+    cap: int,
+    chunk: int = 4096,
+) -> np.ndarray:
+    """Σ_θ weights_θ · Π_j emissions[j][θ, π(j)] for every π in the
+    mixed-radix space of sizes (position 0 most significant).
+
+    Work is chunked so memory stays at O(n_latents · chunk).
+    """
+    count = math.prod(sizes)
+    _check_cap(count, cap)
+    masses = np.empty(count)
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        coords = np.unravel_index(np.arange(start, stop), sizes)
+        lik = np.repeat(weights[:, None], stop - start, axis=1)
+        for j, table in enumerate(emissions):
+            lik *= table[:, coords[j]]
+        masses[start:stop] = lik.sum(axis=0)
+    return masses
+
+
 def enumerate_policy_masses(
     system: MixtureBayesSystem,
     cap: int = DEFAULT_ENUMERATION_CAP,
@@ -555,25 +600,131 @@ def enumerate_policy_masses(
     """Exact joint mass of every d-policy, in policy-index order.
 
     Mass of policy π is Σ_θ w_θ · Π_s Pr[π(s) | θ]; the vector sums to 1.
-    Work is chunked so memory stays at O(n_latents · chunk).
     """
     partition = system.partition
-    count = partition.policy_count()
-    if count > cap:
-        raise EnumerationCapError(
-            f"policy space has {count} elements, above the cap of {cap}"
+    return _enumerate_masses(
+        system.latent_weights,
+        [system.emissions(c) for c in range(partition.n_contexts)],
+        partition.sizes,
+        cap,
+        chunk,
+    )
+
+
+class Conditioned:
+    """A system conditioned on a fixed prior state, over a subset of its
+    contexts: the inference core behind coherence, the samplers and exact
+    enumeration.
+
+    Positions 0..k-1 index the covered contexts in the given order (default:
+    all contexts); an assignment holds one local behavior index per position.
+    Log numerators are the natural-log prior × likelihood per latent, and the
+    marginal likelihood ML of a state is their sum in linear space. Coherence
+    is then closed form: log2 ML(prior + policy) − log2 ML(prior).
+    """
+
+    def __init__(
+        self,
+        system: MixtureBayesSystem,
+        prior: PolicyState | None = None,
+        contexts: Sequence[int] | None = None,
+    ) -> None:
+        partition = system.partition
+        if contexts is None:
+            contexts = range(partition.n_contexts)
+        self.contexts = tuple(int(c) for c in contexts)
+        if len(set(self.contexts)) != len(self.contexts):
+            raise ValidationError("context subset has repeated indices")
+        for c in self.contexts:
+            partition._check_slot(c, 0)
+        self.prior = prior if prior is not None else PolicyState.zero()
+        self.sizes = tuple(partition.sizes[c] for c in self.contexts)
+        self.emissions = [system.emissions(c) for c in self.contexts]
+        self.log_emissions = [system.log_emissions(c) for c in self.contexts]
+        self.base = system.log_posterior_numerators(self.prior)
+        self.log_prior_ml = self._log_ml(self.base)
+        if self.log_prior_ml == -math.inf:
+            raise DegenerateConditioningError(
+                "degenerate conditioning: prior state "
+                f"{self.prior.describe(partition)} has zero likelihood"
+            )
+
+    @staticmethod
+    def _log_ml(log_numerators: np.ndarray) -> float:
+        top = float(log_numerators.max())
+        if top == -math.inf:
+            return -math.inf
+        return top + math.log(float(np.exp(log_numerators - top).sum()))
+
+    def validate(self, policy: DPolicy) -> np.ndarray:
+        """The policy's assignment over the covered positions, range-checked."""
+        if len(policy) != len(self.contexts):
+            raise ValidationError(
+                f"policy has {len(policy)} coordinates for "
+                f"{len(self.contexts)} covered contexts"
+            )
+        for j, a in enumerate(policy.assignment):
+            if not 0 <= a < self.sizes[j]:
+                raise ValidationError(
+                    f"behavior index {a} out of range at position {j}"
+                )
+        return np.array(policy.assignment, dtype=np.int64)
+
+    def numerators(
+        self, assignment: Sequence[int], skip: int | None = None
+    ) -> np.ndarray:
+        """Log numerators of the prior plus every position but ``skip``."""
+        out = self.base.copy()
+        for j in range(len(self.contexts)):
+            if j != skip:
+                out += self.log_emissions[j][:, assignment[j]]
+        return out
+
+    def predictive(
+        self, log_numerators: np.ndarray, position: int
+    ) -> tuple[np.ndarray, float]:
+        """Unnormalized predictive masses p at one position, and their log
+        scale: exp(scale) · p[a] is the marginal likelihood of the state
+        plus behavior a. Raises DegenerateConditioningError when the state
+        has zero likelihood."""
+        top = float(log_numerators.max())
+        if top == -math.inf:
+            raise DegenerateConditioningError(
+                "degenerate conditioning: every latent has zero likelihood "
+                f"for the state that conditions position {position}"
+            )
+        return np.exp(log_numerators - top) @ self.emissions[position], top
+
+    def leave_one_out(
+        self, assignment: Sequence[int], position: int
+    ) -> tuple[np.ndarray, float]:
+        """predictive() at one position given the prior and every other
+        position of the assignment."""
+        return self.predictive(self.numerators(assignment, skip=position), position)
+
+    def coherence_bits(self, assignment: Sequence[int]) -> float:
+        """Coherence of a full sub-policy relative to the prior; -inf when
+        it has zero mass."""
+        value = self._log_ml(self.numerators(assignment))
+        if value == -math.inf:
+            return -math.inf
+        return (value - self.log_prior_ml) / LN2
+
+    def masses(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """Conditional mass of every sub-policy given the prior, in
+        mixed-radix index order (position 0 most significant); sums to 1."""
+        masses = _enumerate_masses(
+            np.exp(self.base - float(self.base.max())),
+            self.emissions,
+            self.sizes,
+            cap,
         )
-    masses = np.empty(count)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        coords = np.unravel_index(np.arange(start, stop), partition.sizes)
-        lik = np.repeat(
-            system.latent_weights[:, None], stop - start, axis=1
-        )
-        for c in range(partition.n_contexts):
-            lik *= system.emissions(c)[:, coords[c]]
-        masses[start:stop] = lik.sum(axis=0)
-    return masses
+        total = masses.sum()
+        if total <= 0.0:
+            raise EmptySupportError(
+                "degenerate conditioning: no sub-policy has positive mass"
+            )
+        return masses / total
 
 
 @dataclass(frozen=True)

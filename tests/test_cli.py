@@ -374,3 +374,34 @@ class TestScenarioValidation:
         )
         assert result.exit_code == 2
         assert "system" in result.output
+
+    def test_nan_literal_exits_2(self, runner, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"partition": {"contexts": [{"name": "a", "behaviors": ["a_x", "a_y"]}]},'
+            ' "system": {"type": "mixture", "latent_weights": [NaN, 1.0],'
+            ' "emissions": [[[0.5, 0.5]], [[0.5, 0.5]]]}}'
+        )
+        result = runner.invoke(main, ["coherence", str(path), "--policy", "a_x"])
+        assert result.exit_code == 2
+        assert "latent_weights" in result.output
+
+
+DEMO_SMOOTHED = (
+    Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+    / "condiments_smoothed.json"
+)
+
+
+def test_enumerate_tied_policies_share_mass_in_lexicographic_order(runner, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["enumerate", str(DEMO_SMOOTHED), "--beta", "1", "--out", str(out)]
+    )
+    assert result.exit_code == 0
+    rows = [row.split(",") for row in _read_rows(out / "xbeta.csv")[1:]]
+    tied = [row for row in rows if abs(float(row[1]) - 0.01) <= 1e-12]
+    assert len(tied) == 4
+    assert len({(mass, chi) for _, mass, chi in tied}) == 1
+    assert [name for name, _, _ in tied] == sorted(name for name, _, _ in tied)
+    assert rows[-4:] == tied

@@ -1,0 +1,161 @@
+"""The inference core: closed-form coherence against the step-by-step oracle,
+normalized enumeration, the cap contract of every exhaustive entry point,
+the scale-free infinite-beta tie rule, and rejection of non-finite systems."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from cohopt import (
+    Conditioned,
+    DegenerateConditioningError,
+    DPolicy,
+    EnumerationCapError,
+    MixtureBayesSystem,
+    PolicyState,
+    ValidationError,
+    bootstrap_exact_distribution,
+    coherence,
+    enumerate_policy_masses,
+    exact_conditional_distribution,
+    from_joint_table,
+    generic_partition,
+    random_mixture_system,
+    sequence_coherence,
+    temper,
+)
+
+from conftest import condiments_partition, condiments_table
+
+
+def _random_case(rng: np.random.Generator):
+    sizes = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(1, 5)))]
+    partition = generic_partition(sizes)
+    system = random_mixture_system(
+        partition, int(rng.integers(1, 5)), rng, emission_concentration=0.5
+    )
+    draws = int(rng.integers(1, 6))
+    prior = PolicyState.from_behaviors(
+        [int(rng.integers(0, partition.n_behaviors)) for _ in range(draws)]
+    )
+    policy = DPolicy(tuple(int(rng.integers(0, s)) for s in sizes))
+    return system, prior, policy
+
+
+class TestClosedFormCoherence:
+    def test_matches_sequential_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            system, prior, policy = _random_case(rng)
+            closed = coherence(system, prior, policy).bits
+            oracle = sequence_coherence(
+                system, prior, list(enumerate(policy.assignment))
+            ).bits
+            assert abs(closed - oracle) <= 1e-12
+
+    def test_zero_mass_policy_is_minus_inf_in_both(self):
+        partition = condiments_partition()
+        system = from_joint_table(partition, condiments_table(0.0))
+        prior = PolicyState.from_behaviors([partition.global_index(1, 1)])
+        policy = partition.policy_from_names(["burger_mayo", "fries_other"])
+        closed = coherence(system, prior, policy)
+        oracle = sequence_coherence(
+            system, prior, list(enumerate(policy.assignment))
+        )
+        assert closed.bits == oracle.bits == -math.inf
+        assert closed.failed_step is None
+        assert oracle.failed_step == 0
+
+    def test_impossible_prior_raises_in_both(self):
+        partition = condiments_partition()
+        system = from_joint_table(partition, condiments_table(0.0))
+        prior = PolicyState.from_behaviors(
+            [partition.global_index(0, 0), partition.global_index(1, 1)]
+        )
+        policy = partition.policy_at(0)
+        with pytest.raises(DegenerateConditioningError):
+            coherence(system, prior, policy)
+        with pytest.raises(DegenerateConditioningError):
+            sequence_coherence(system, prior, list(enumerate(policy.assignment)))
+
+
+class TestConditionedMasses:
+    def test_zero_prior_masses_match_joint_masses(self):
+        rng = np.random.default_rng(5)
+        system = random_mixture_system(generic_partition([3, 2, 4]), 3, rng)
+        np.testing.assert_allclose(
+            Conditioned(system).masses(), enumerate_policy_masses(system),
+            rtol=1e-12,
+        )
+
+    def test_log_masses_equal_closed_form_coherence(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            system, prior, _ = _random_case(rng)
+            core = Conditioned(system, prior)
+            masses = core.masses()
+            for index in range(masses.size):
+                policy = system.partition.policy_at(index)
+                assert abs(
+                    math.log2(masses[index])
+                    - core.coherence_bits(policy.assignment)
+                ) <= 1e-12
+
+    def test_impossible_leave_one_out_state_raises(self):
+        partition = generic_partition([2, 2, 2])
+        system = MixtureBayesSystem(
+            partition,
+            [1.0],
+            [np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])],
+        )
+        core = Conditioned(system)
+        with pytest.raises(DegenerateConditioningError):
+            core.leave_one_out(np.array([1, 0, 0]), 2)
+
+
+class TestCapContract:
+    def test_exact_conditional_distribution_raises_cap_error(self):
+        system = random_mixture_system(
+            generic_partition([3, 3, 3]), 2, np.random.default_rng(1)
+        )
+        with pytest.raises(EnumerationCapError):
+            exact_conditional_distribution(system, 1.0, cap=26)
+
+    def test_bootstrap_exact_distribution_raises_cap_error(self):
+        system = random_mixture_system(
+            generic_partition([3, 3, 3]), 2, np.random.default_rng(1)
+        )
+        with pytest.raises(EnumerationCapError):
+            bootstrap_exact_distribution(system, [2, 0, 1], 1.0, cap=26)
+
+
+class TestTieRule:
+    def test_infinite_beta_ties_do_not_depend_on_scale(self):
+        p = np.array([0.25, 0.25 * (1 - 1e-15), 0.5 * 0.25, 0.25 * (1 - 1e-9)])
+        expected = [0.5, 0.5, 0.0, 0.0]
+        for scale in (1.0, 1e-30, 1e30):
+            np.testing.assert_array_equal(temper(p * scale, math.inf), expected)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_mixture_weights_rejected(self, bad):
+        partition = generic_partition([2])
+        with pytest.raises(ValidationError):
+            MixtureBayesSystem(partition, [bad, 1.0], [np.full((2, 2), 0.5)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_mixture_emissions_rejected(self, bad):
+        partition = generic_partition([2])
+        with pytest.raises(ValidationError):
+            MixtureBayesSystem(partition, [1.0], [np.array([[bad, 0.5]])])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_joint_table_rejected(self, bad):
+        table = condiments_table(0.01)
+        table[2, 2] = bad
+        with pytest.raises(ValidationError):
+            from_joint_table(condiments_partition(), table)

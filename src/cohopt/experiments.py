@@ -19,6 +19,7 @@ from .analysis import (
     BoundReport,
     accuracy_lower_bound,
     agreement,
+    conjectured_posttrain_count,
     optimality_gap,
     srm_select,
     uniform_convergence_bound,
@@ -211,16 +212,6 @@ def _greedy_assignment(
     )
 
 
-def _select_from_record(record, selection: str) -> DPolicy:
-    if selection == "final":
-        return record.policy_at(len(record) - 1)
-    if selection == "best":
-        return record.policy_at(int(np.argmax(record.coherence_bits)))
-    raise ValidationError(
-        f"selection must be 'best' or 'final', got {selection!r}"
-    )
-
-
 def run_semi_supervised(
     scenario: Scenario,
     method: str,
@@ -228,16 +219,14 @@ def run_semi_supervised(
     *,
     delta: float = 0.05,
     sign_convention: str = "corrected",
-    selection: str = "best",
-    icm_max_iters: int = 50,
-    icm_restarts: int = 4,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> SemiSupervisedReport:
     """Condition on the supervised labels, optimize the unsupervised
     behaviors with the chosen method, and score against the ground truth.
 
     All randomness comes from config.seed; sampler-backed methods pick the
-    highest-coherence visited policy when selection="best".
+    highest-coherence visited policy, and icm runs 4 restarts of at most 50
+    sweeps.
     """
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
@@ -277,18 +266,13 @@ def run_semi_supervised(
         )
 
     initial = _greedy_assignment(system, prior, s_a)
-    if method == "gibbs":
-        record = gibbs_run(
+    if method in ("gibbs", "tf-gibbs"):
+        sampler = gibbs_run if method == "gibbs" else training_friendly_gibbs_run
+        record = sampler(
             system, initial, config, prior=prior, contexts=s_a,
             check_positivity=False,
         )
-        chosen = _select_from_record(record, selection)
-    elif method == "tf-gibbs":
-        record = training_friendly_gibbs_run(
-            system, initial, config, prior=prior, contexts=s_a,
-            check_positivity=False,
-        )
-        chosen = _select_from_record(record, selection)
+        chosen = record.policy_at(int(np.argmax(record.coherence_bits)))
     elif method == "bootstrap":
         result = simple_bootstrap_run(
             system, "random", config, prior=prior, contexts=s_a
@@ -298,9 +282,9 @@ def run_semi_supervised(
         chosen = icm_hill_climb(
             system,
             initial,
-            max_iters=icm_max_iters,
+            max_iters=50,
             seed=config.seed,
-            restarts=icm_restarts,
+            restarts=4,
             prior=prior,
             contexts=s_a,
         )
@@ -516,8 +500,6 @@ def equivalence_study(
 def _eq5_recommendation(scenario: Scenario) -> float:
     """One-shot evaluation of the conjectured budget for a scenario, using
     the greedy baseline's supervised error floored at 1e-6."""
-    from .analysis import conjectured_posttrain_count
-
     s_a, s_b = scenario.unsupervised, scenario.supervised
     if not s_a or not s_b:
         return math.nan

@@ -8,6 +8,7 @@ partially written files are never observed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -108,7 +109,9 @@ class ScenarioFile:
     ground_truth: DPolicy | None = None
 
 
-def _require(data: dict, key: str, path: str):
+def _require(data, key: str, path: str):
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: must be an object")
     if key not in data:
         raise ValidationError(f"{path}.{key}: missing required key")
     return data[key]
@@ -139,9 +142,12 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         raise ValidationError("partition.contexts: must be a non-empty list")
     names, behaviors = [], []
     for i, entry in enumerate(contexts):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"partition.contexts[{i}]: must be an object")
-        names.append(_require(entry, "name", f"partition.contexts[{i}]"))
+        name = _require(entry, "name", f"partition.contexts[{i}]")
+        if not isinstance(name, str):
+            raise ValidationError(
+                f"partition.contexts[{i}].name: must be a string, got {name!r}"
+            )
+        names.append(name)
         row = _require(entry, "behaviors", f"partition.contexts[{i}]")
         if not isinstance(row, list) or not row:
             raise ValidationError(
@@ -163,7 +169,9 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     if kind == "mixture":
         weights = _require(sys_data, "latent_weights", "system")
         emissions_data = _require(sys_data, "emissions", "system")
-        if len(emissions_data) != len(weights):
+        if not isinstance(weights, list):
+            raise ValidationError("system.latent_weights: must be a list")
+        if not isinstance(emissions_data, list) or len(emissions_data) != len(weights):
             raise ValidationError(
                 "system.emissions: need one emission block per latent"
             )
@@ -183,16 +191,20 @@ def load_scenario(path: str | Path) -> ScenarioFile:
             system = MixtureBayesSystem(partition, weights, emissions)
         except ValidationError as exc:
             raise ValidationError(f"system: {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"system.latent_weights: {exc}") from exc
     elif kind == "joint_table":
         table = _require(sys_data, "table", "system")
-        epsilon = float(sys_data.get("epsilon", 0.0))
+        epsilon = sys_data.get("epsilon", 0.0)
+        if not isinstance(epsilon, (int, float)):
+            raise ValidationError(
+                f"system.epsilon: must be a number, got {epsilon!r}"
+            )
         try:
             system = from_joint_table(
                 partition, np.asarray(table, dtype=np.float64), epsilon
             )
-        except ValidationError as exc:
-            raise ValidationError(f"system.table: {exc}") from exc
-        except ValueError as exc:
+        except (ValidationError, ValueError, TypeError) as exc:
             raise ValidationError(f"system.table: {exc}") from exc
     else:
         raise ValidationError(
@@ -201,6 +213,10 @@ def load_scenario(path: str | Path) -> ScenarioFile:
 
     ground_truth = None
     if data.get("ground_truth") is not None:
+        if not isinstance(data["ground_truth"], list):
+            raise ValidationError(
+                "ground_truth: must be a list of behavior names"
+            )
         try:
             ground_truth = partition.policy_from_names(
                 [str(n) for n in data["ground_truth"]]
@@ -270,12 +286,12 @@ def write_distribution_csv(
     chis = np.full(len(distribution), math.nan)
     if system is not None:
         with np.errstate(divide="ignore"):
-            chis = np.log2(Conditioned(system).masses())
-    rows = []
-    for index in range(len(distribution)):
-        label = "|".join(partition.policy_names(partition.policy_at(index)))
-        rows.append((label, float(distribution.masses[index]), float(chis[index])))
-    rows.sort(key=lambda row: (-row[1], row[0]))
+            chis = np.log2(Conditioned(system).masses(cap=len(distribution)))
+    labels = ("|".join(n) for n in itertools.product(*partition.behaviors))
+    rows = sorted(
+        zip(labels, distribution.masses.tolist(), chis.tolist(), strict=True),
+        key=lambda row: (-row[1], row[0]),
+    )
     return write_rows_csv(
         path,
         ["policy", "mass", "coherence_bits"],

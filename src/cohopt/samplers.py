@@ -429,7 +429,9 @@ def bootstrap_exact_distribution(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> PolicyDistribution:
     """Distribution over final assignments induced by the sequential sampler
-    for one fixed visiting order, computed by full path enumeration."""
+    for one fixed visiting order, by a depth-first walk of the path tree: one
+    tempered conditional per node reached by positive steps, and log
+    numerators held for one path's pending siblings only."""
     core = Conditioned(system, prior, contexts)
     k = len(core.contexts)
     order = tuple(int(j) for j in context_order)
@@ -437,22 +439,24 @@ def bootstrap_exact_distribution(
         raise ValidationError(
             "context_order must visit each covered context exactly once"
         )
-    count = math.prod(core.sizes)
-    _check_cap(count, cap)
-    masses = np.empty(count)
-    for index in range(count):
-        assignment = np.unravel_index(index, core.sizes)
-        numerators = core.base.copy()
-        prob = 1.0
-        for j in order:
-            p, _ = core.predictive(numerators, j)
-            step = float(temper(p, beta)[assignment[j]])
-            if step <= 0.0:
-                prob = 0.0
-                break
-            prob *= step
-            numerators = numerators + core.log_emissions[j][:, assignment[j]]
-        masses[index] = prob
+    _check_cap(math.prod(core.sizes), cap)
+    if k == 0:  # the empty assignment is the only outcome
+        return PolicyDistribution(masses=np.ones(1), provenance="custom", sizes=())
+    sizes = [core.sizes[j] for j in order]
+    masses = np.zeros(math.prod(sizes))  # indexed in visiting order
+    stack = [(0, core.base, 1.0, 0)]  # (level, numerators, mass, prefix index)
+    while stack:
+        level, numerators, mass, index = stack.pop()
+        j = order[level]
+        steps = temper(core.predictive(numerators, j)[0], beta)
+        index *= sizes[level]
+        if level == k - 1:
+            masses[index : index + sizes[level]] = mass * steps
+            continue
+        for a in np.flatnonzero(steps):
+            child = numerators + core.log_emissions[j][:, a]
+            stack.append((level + 1, child, mass * steps[a], index + a))
+    masses = masses.reshape(sizes).transpose(np.argsort(order)).ravel()
     return PolicyDistribution(
         masses=masses / masses.sum(), provenance="custom", sizes=core.sizes
     )

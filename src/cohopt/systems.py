@@ -11,6 +11,7 @@ All likelihood products are accumulated in natural-log space (zeros become
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -164,10 +165,9 @@ class ContextPartition:
         return DPolicy(tuple(assignment))
 
     def iter_policies(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator["DPolicy"]:
-        count = self.policy_count()
-        _check_cap(count, cap)
-        for index in range(count):
-            yield self.policy_at(index)
+        _check_cap(self.policy_count(), cap)
+        for assignment in itertools.product(*map(range, self.sizes)):
+            yield DPolicy(assignment)
 
     def policy_from_names(self, names: Sequence[str]) -> "DPolicy":
         """Build a d-policy from one behavior name per context, any order."""
@@ -572,30 +572,28 @@ def _enumerate_masses(
     emissions: Sequence[np.ndarray],
     sizes: Sequence[int],
     cap: int,
-    chunk: int = 4096,
 ) -> np.ndarray:
     """Σ_θ weights_θ · Π_j emissions[j][θ, π(j)] for every π in the
     mixed-radix space of sizes (position 0 most significant).
 
-    Work is chunked so memory stays at O(n_latents · chunk).
+    Each latent's table is a chain of outer products over the positions,
+    added into one total, so memory stays at O(count) whatever the number
+    of latents.
     """
     count = math.prod(sizes)
     _check_cap(count, cap)
-    masses = np.empty(count)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        coords = np.unravel_index(np.arange(start, stop), sizes)
-        lik = np.repeat(weights[:, None], stop - start, axis=1)
-        for j, table in enumerate(emissions):
-            lik *= table[:, coords[j]]
-        masses[start:stop] = lik.sum(axis=0)
+    masses = np.zeros(count)
+    for theta in np.flatnonzero(weights):
+        lik = weights[theta : theta + 1]
+        for table in emissions:
+            lik = np.multiply.outer(lik, table[theta]).ravel()
+        masses += lik
     return masses
 
 
 def enumerate_policy_masses(
     system: MixtureBayesSystem,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    chunk: int = 4096,
 ) -> np.ndarray:
     """Exact joint mass of every d-policy, in policy-index order.
 
@@ -607,7 +605,6 @@ def enumerate_policy_masses(
         [system.emissions(c) for c in range(partition.n_contexts)],
         partition.sizes,
         cap,
-        chunk,
     )
 
 

@@ -405,3 +405,72 @@ def test_enumerate_tied_policies_share_mass_in_lexicographic_order(runner, tmp_p
     assert len({(mass, chi) for _, mass, chi in tied}) == 1
     assert [name for name, _, _ in tied] == sorted(name for name, _, _ in tied)
     assert rows[-4:] == tied
+
+
+def _one_context_scenario(system: dict) -> dict:
+    return {
+        "partition": {"contexts": [{"name": "a", "behaviors": ["x", "y"]}]},
+        "system": system,
+    }
+
+
+MIXTURE = {
+    "type": "mixture",
+    "latent_weights": [0.5, 0.5],
+    "emissions": [[[0.9, 0.1]], [[0.2, 0.8]]],
+}
+JOINT = {"type": "joint_table", "table": [0.5, 0.5], "epsilon": 0.0}
+
+
+def _with(system: dict, **changes) -> dict:
+    return _one_context_scenario({**system, **changes})
+
+
+MALFORMED_SCENARIOS = {
+    "epsilon-string": (_with(JOINT, epsilon="abc"), "system.epsilon"),
+    "epsilon-null": (_with(JOINT, epsilon=None), "system.epsilon"),
+    "weights-number": (_with(MIXTURE, latent_weights=5), "system.latent_weights"),
+    "weights-string": (_with(MIXTURE, latent_weights="ab"), "system.latent_weights"),
+    "weights-strings": (
+        _with(MIXTURE, latent_weights=["a", "b"]), "system.latent_weights"
+    ),
+    "emissions-number": (_with(MIXTURE, emissions=5), "system.emissions"),
+    "context-name-list": (
+        {
+            "partition": {"contexts": [{"name": ["x"], "behaviors": ["x", "y"]}]},
+            "system": MIXTURE,
+        },
+        "partition.contexts[0].name",
+    ),
+    "partition-number": ({"partition": 5, "system": MIXTURE}, "partition"),
+    "system-number": (_one_context_scenario(5), "system"),
+    "ground-truth-string": (
+        {**_one_context_scenario(MIXTURE), "ground_truth": "x"}, "ground_truth"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["coherence", "enumerate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_exits_2_citing_key(runner, tmp_path, command, case):
+    payload, key_path = MALFORMED_SCENARIOS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    args = ["--policy", "x"] if command == "coherence" else ["--out", str(tmp_path)]
+    result = runner.invoke(main, [command, str(path), *args])
+    assert result.exit_code == 2, result.output
+    assert f"error: {key_path}" in result.output
+
+
+def test_enumerate_writer_honors_cap_above_default(
+    runner, scenario_path, tmp_path, monkeypatch
+):
+    from cohopt.systems import Conditioned
+
+    monkeypatch.setattr(Conditioned.masses, "__defaults__", (4,))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["enumerate", scenario_path, "--cap", "9", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(_read_rows(out / "xbeta.csv")) == 10

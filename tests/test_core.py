@@ -1,6 +1,7 @@
 """The inference core: closed-form coherence against the step-by-step oracle,
 normalized enumeration, the cap contract of every exhaustive entry point,
-the scale-free infinite-beta tie rule, and rejection of non-finite systems."""
+the scale-free infinite-beta tie rule, rejection of non-finite systems, and
+the policy-table builders against index-by-index references."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from cohopt import (
     generic_partition,
     random_mixture_system,
     sequence_coherence,
+    softmax_over_coherence,
     temper,
 )
 
@@ -159,3 +161,151 @@ class TestNonFiniteInputs:
         table[2, 2] = bad
         with pytest.raises(ValidationError):
             from_joint_table(condiments_partition(), table)
+
+
+# --- index-by-index references for the policy-table builders --------------
+
+BETAS = (0.3, 1.0, 2.0, math.inf)
+
+
+def _gathered_masses(weights, emissions, sizes, chunk=4096):
+    """Masses by decoding chunks of policy indices and gathering emission
+    columns per latent."""
+    count = math.prod(sizes)
+    masses = np.empty(count)
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        coords = np.unravel_index(np.arange(start, stop), sizes)
+        lik = np.repeat(weights[:, None], stop - start, axis=1)
+        for j, table in enumerate(emissions):
+            lik *= table[:, coords[j]]
+        masses[start:stop] = lik.sum(axis=0)
+    return masses
+
+
+def _conditioned_masses(core: Conditioned) -> np.ndarray:
+    masses = _gathered_masses(
+        np.exp(core.base - float(core.base.max())), core.emissions, core.sizes
+    )
+    return masses / masses.sum()
+
+
+def _per_path_bootstrap(core: Conditioned, order, beta) -> np.ndarray:
+    """Sequential-sampler masses by walking each policy's own root-to-leaf
+    path."""
+    count = math.prod(core.sizes)
+    masses = np.empty(count)
+    for index in range(count):
+        assignment = np.unravel_index(index, core.sizes)
+        numerators = core.base.copy()
+        prob = 1.0
+        for j in order:
+            p, _ = core.predictive(numerators, j)
+            step = float(temper(p, beta)[assignment[j]])
+            if step <= 0.0:
+                prob = 0.0
+                break
+            prob *= step
+            numerators = numerators + core.log_emissions[j][:, assignment[j]]
+        masses[index] = prob
+    return masses / masses.sum()
+
+
+def _seeded_cases(seed: int, n: int):
+    """Random systems with 1-8 latents, 1-behavior contexts allowed, a random
+    prior and a random context subset in a random order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        sizes = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))]
+        partition = generic_partition(sizes)
+        system = random_mixture_system(
+            partition, int(rng.integers(1, 9)), rng, emission_concentration=0.5
+        )
+        prior = PolicyState.from_behaviors(
+            [int(rng.integers(0, partition.n_behaviors))
+             for _ in range(int(rng.integers(0, 4)))]
+        )
+        k = int(rng.integers(1, len(sizes) + 1))
+        contexts = [int(c) for c in rng.permutation(len(sizes))[:k]]
+        order = [int(j) for j in rng.permutation(k)]
+        yield system, prior, contexts, order
+
+
+class TestPolicyTablesMatchReferences:
+    def test_joint_masses(self):
+        for system, _, _, _ in _seeded_cases(11, 60):
+            partition = system.partition
+            expected = _gathered_masses(
+                system.latent_weights,
+                [system.emissions(c) for c in range(partition.n_contexts)],
+                partition.sizes,
+            )
+            got = enumerate_policy_masses(system)
+            if got.size == 1:
+                # the reference's one-column sum over latents is numpy's
+                # pairwise sum; the enumerator adds latents in order
+                np.testing.assert_allclose(
+                    got, expected, rtol=8 * np.finfo(float).eps, atol=0
+                )
+            else:
+                assert np.array_equal(got, expected)
+
+    def test_conditioned_masses_and_softmax(self):
+        for system, prior, contexts, _ in _seeded_cases(12, 60):
+            core = Conditioned(system, prior, contexts)
+            assert np.array_equal(core.masses(), _conditioned_masses(core))
+            joint = _conditioned_masses(Conditioned(system))
+            for beta in BETAS:
+                assert np.array_equal(
+                    softmax_over_coherence(system, beta).masses,
+                    temper(joint, beta),
+                )
+
+    def test_bootstrap_distribution(self):
+        for system, prior, contexts, order in _seeded_cases(13, 40):
+            core = Conditioned(system, prior, contexts)
+            for beta in BETAS:
+                got = bootstrap_exact_distribution(
+                    system, order, beta, prior=prior, contexts=contexts
+                )
+                assert np.array_equal(
+                    got.masses, _per_path_bootstrap(core, order, beta)
+                )
+
+    def test_zero_mass_joint_table(self):
+        partition = condiments_partition()
+        system = from_joint_table(partition, condiments_table(0.0))
+        assert np.array_equal(
+            enumerate_policy_masses(system),
+            _gathered_masses(
+                system.latent_weights,
+                [system.emissions(0), system.emissions(1)],
+                partition.sizes,
+            ),
+        )
+        for prior in (None, PolicyState.from_behaviors([1])):
+            core = Conditioned(system, prior)
+            assert np.array_equal(core.masses(), _conditioned_masses(core))
+            for order in ([0, 1], [1, 0]):
+                for beta in BETAS:
+                    got = bootstrap_exact_distribution(
+                        system, order, beta, prior=prior
+                    )
+                    assert np.array_equal(
+                        got.masses, _per_path_bootstrap(core, order, beta)
+                    )
+
+    def test_empty_context_subset(self):
+        system = random_mixture_system(
+            generic_partition([2, 3]), 3, np.random.default_rng(14)
+        )
+        for beta in BETAS:
+            got = bootstrap_exact_distribution(system, [], beta, contexts=[])
+            assert np.array_equal(got.masses, [1.0])
+            assert got.sizes == ()
+
+    def test_iter_policies_in_index_order(self):
+        partition = generic_partition([3, 1, 2, 4])
+        assert list(partition.iter_policies()) == [
+            partition.policy_at(i) for i in range(partition.policy_count())
+        ]

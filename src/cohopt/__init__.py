@@ -4,7 +4,6 @@ tabular Bayesian learning systems."""
 from .errors import (
     CohoptError,
     DegenerateConditioningError,
-    EmptySupportError,
     EnumerationCapError,
     ValidationError,
 )

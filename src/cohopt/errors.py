@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Each class maps to one CLI exit code: ValidationError -> 2,
-DegenerateConditioningError -> 3, EnumerationCapError -> 4.
+One class per failure, and each class maps to one CLI exit code:
+ValidationError -> 2, DegenerateConditioningError -> 3 (an impossible prior
+state and a conditional table with no positive mass alike),
+EnumerationCapError -> 4.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ class ValidationError(CohoptError):
 class DegenerateConditioningError(CohoptError):
     """Conditioning on a zero-probability event: every latent has zero
     likelihood for the given policy state, or a required marginal is zero."""
-
-
-class EmptySupportError(DegenerateConditioningError):
-    """Every candidate policy has zero mass; no distribution exists."""
 
 
 class EnumerationCapError(CohoptError):

@@ -107,7 +107,6 @@ def generate_scenario(
     seed: int = 0,
     truth_beta: float = 1.0,
     label_noise: float = 0.0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Scenario:
     """Draw a scenario deterministically from one seed.
 
@@ -132,7 +131,7 @@ def generate_scenario(
         latent_concentration=latent_concentration,
         emission_concentration=emission_concentration,
     )
-    masses = enumerate_policy_masses(system, cap=cap)
+    masses = enumerate_policy_masses(system)
     tempered = temper(masses, truth_beta)
     truth_index = int(np.searchsorted(np.cumsum(tempered), rng.random()))
     truth_index = min(truth_index, masses.size - 1)
@@ -212,61 +211,55 @@ def _greedy_assignment(
     )
 
 
+def _srm_completion(scenario: Scenario, delta: float) -> DPolicy:
+    """Regularized selection over the full space from the supervised labels,
+    restricted to the unsupervised contexts."""
+    full = srm_select(
+        scenario.system,
+        PolicyState.zero(),
+        None,
+        list(scenario.labels),
+        N=len(scenario.supervised) or None,
+        delta=delta,
+    )
+    return DPolicy(tuple(full.assignment[c] for c in scenario.unsupervised))
+
+
+def _completed(scenario: Scenario, chosen: DPolicy) -> DPolicy:
+    """The ground truth with its unsupervised contexts set to chosen."""
+    assignment = list(scenario.ground_truth.assignment)
+    for c, a in zip(scenario.unsupervised, chosen.assignment, strict=True):
+        assignment[c] = a
+    return DPolicy(tuple(assignment))
+
+
 def run_semi_supervised(
-    scenario: Scenario,
-    method: str,
-    config: SamplerConfig | None = None,
-    *,
-    delta: float = 0.05,
-    sign_convention: str = "corrected",
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    scenario: Scenario, method: str, config: SamplerConfig | None = None
 ) -> SemiSupervisedReport:
     """Condition on the supervised labels, optimize the unsupervised
     behaviors with the chosen method, and score against the ground truth.
 
     All randomness comes from config.seed; sampler-backed methods pick the
     highest-coherence visited policy, and icm runs 4 restarts of at most 50
-    sweeps.
+    sweeps. An empty unsupervised split selects the empty sub-policy and
+    reports accuracy None. The bounds use delta 0.05 and the "corrected"
+    sign convention.
     """
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     if config is None:
         config = SamplerConfig(seed=scenario.seed)
+    delta = 0.05
     system = scenario.system
-    partition = system.partition
     prior = scenario.prior_state
     s_a = scenario.unsupervised
-    s_b = scenario.supervised
     truth = scenario.ground_truth
 
-    if not s_a:
-        chi_pre = sequence_coherence(
-            system, PolicyState.zero(), list(scenario.labels)
-        ).bits
-        return SemiSupervisedReport(
-            seed=config.seed,
-            method=method,
-            policy_names=(),
-            accuracy=None,
-            chi_quotient_bits=0.0,
-            chi_full_bits=chi_pre,
-            f_mp_bits=mutual_predictability(system, truth)
-            if s_b
-            else 0.0,
-            decomposition_residual=0.0,
-            gap_bound=uniform_convergence_bound(
-                min(chi_pre, 0.0), max(len(s_b), 1), delta, sign_convention
-            ),
-            accuracy_floor=accuracy_lower_bound(
-                optimality_gap(system, prior, truth),
-                max(len(s_b), 1),
-                delta,
-                sign_convention,
-            ),
-        )
-
     initial = _greedy_assignment(system, prior, s_a)
-    if method in ("gibbs", "tf-gibbs"):
+    if method == "erm" or not s_a:
+        # erm is the per-context greedy baseline; an empty split picks ()
+        chosen = initial
+    elif method in ("gibbs", "tf-gibbs"):
         sampler = gibbs_run if method == "gibbs" else training_friendly_gibbs_run
         record = sampler(
             system, initial, config, prior=prior, contexts=s_a,
@@ -288,31 +281,10 @@ def run_semi_supervised(
             prior=prior,
             contexts=s_a,
         )
-    elif method == "srm-exhaustive":
-        full = srm_select(
-            system,
-            PolicyState.zero(),
-            None,
-            list(scenario.labels),
-            N=len(s_b) if s_b else None,
-            delta=delta,
-            sign_convention=sign_convention,
-            cap=cap,
-        )
-        chosen = DPolicy(tuple(full.assignment[c] for c in s_a))
-    else:  # erm: the per-context greedy baseline
-        chosen = initial
+    else:  # srm-exhaustive
+        chosen = _srm_completion(scenario, delta)
+    combined = _completed(scenario, chosen)
 
-    combined_assignment = list(truth.assignment)
-    for j, c in enumerate(s_a):
-        combined_assignment[c] = chosen.assignment[j]
-    combined = DPolicy(tuple(combined_assignment))
-
-    accuracy = agreement(
-        DPolicy(tuple(combined.assignment[c] for c in s_a)),
-        DPolicy(tuple(truth.assignment[c] for c in s_a)),
-        range(len(s_a)),
-    ).alpha
     chi_quotient = sequence_coherence(
         system, prior, [(c, combined.assignment[c]) for c in s_a]
     ).bits
@@ -324,26 +296,25 @@ def run_semi_supervised(
         residual = 0.0 if (chi_quotient + chi_pre == chi_full) else math.nan
     else:
         residual = abs(chi_quotient + chi_pre - chi_full)
+    n_labels = max(len(scenario.supervised), 1)
 
     return SemiSupervisedReport(
         seed=config.seed,
         method=method,
         policy_names=tuple(
-            partition.behavior_name(c, combined.assignment[c]) for c in s_a
+            system.partition.behavior_name(c, combined.assignment[c])
+            for c in s_a
         ),
-        accuracy=accuracy,
+        accuracy=agreement(combined, truth, s_a).alpha if s_a else None,
         chi_quotient_bits=chi_quotient,
         chi_full_bits=chi_full,
         f_mp_bits=mutual_predictability(system, combined),
         decomposition_residual=residual,
         gap_bound=uniform_convergence_bound(
-            min(chi_full, 0.0), max(len(s_b), 1), delta, sign_convention
+            min(chi_full, 0.0), n_labels, delta
         ),
         accuracy_floor=accuracy_lower_bound(
-            optimality_gap(system, prior, truth),
-            max(len(s_b), 1),
-            delta,
-            sign_convention,
+            optimality_gap(system, prior, truth), n_labels, delta
         ),
     )
 
@@ -392,7 +363,7 @@ def _coherence_only_choice(
     system: MixtureBayesSystem,
     prior: PolicyState,
     contexts: Sequence[int],
-    cap: int,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DPolicy:
     """Exact argmax of the prior-anchored coherence over the sub-space."""
     core = Conditioned(system, prior, contexts)
@@ -407,12 +378,10 @@ def equivalence_study(
     n_contexts: int,
     context_size: int = 3,
     n_latents: int = 2,
-    latent_concentration: float = 1.0,
     emission_concentration: float = 0.5,
     truth_beta: float = 1.0,
     label_noise: float = 0.0,
     delta: float = 0.05,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> EquivalenceStudy:
     """Compare coherence-only selection (supervised prior) against regularized
     selection across unsupervised-split sizes.
@@ -435,13 +404,11 @@ def equivalence_study(
                 n_contexts,
                 context_size,
                 n_latents,
-                latent_concentration=latent_concentration,
                 emission_concentration=emission_concentration,
                 unsupervised_count=s_a_size,
                 seed=seed,
                 truth_beta=truth_beta,
                 label_noise=label_noise,
-                cap=cap,
             )
             if s_a_size == 0:
                 rows.append(
@@ -455,35 +422,13 @@ def equivalence_study(
                     )
                 )
                 continue
-            truth = scenario.ground_truth
-            s_a = scenario.unsupervised
-            s_b = scenario.supervised
-            prior = scenario.prior_state
-
+            truth, s_a = scenario.ground_truth, scenario.unsupervised
             choice_i = _coherence_only_choice(
-                scenario.system, prior, s_a, cap
+                scenario.system, scenario.prior_state, s_a
             )
-            acc_i = agreement(
-                choice_i,
-                DPolicy(tuple(truth.assignment[c] for c in s_a)),
-                range(len(s_a)),
-            ).alpha
-
-            full_ii = srm_select(
-                scenario.system,
-                PolicyState.zero(),
-                None,
-                list(scenario.labels),
-                N=len(s_b) if s_b else None,
-                delta=delta,
-                cap=cap,
-            )
-            acc_ii = agreement(
-                DPolicy(tuple(full_ii.assignment[c] for c in s_a)),
-                DPolicy(tuple(truth.assignment[c] for c in s_a)),
-                range(len(s_a)),
-            ).alpha
-
+            acc_i = agreement(_completed(scenario, choice_i), truth, s_a).alpha
+            choice_ii = _srm_completion(scenario, delta)
+            acc_ii = agreement(_completed(scenario, choice_ii), truth, s_a).alpha
             rows.append(
                 EquivalenceRow(
                     s_a=s_a_size,

@@ -153,7 +153,13 @@ def load_scenario(path: str | Path) -> ScenarioFile:
             raise ValidationError(
                 f"partition.contexts[{i}].behaviors: must be a non-empty list"
             )
-        behaviors.append([str(b) for b in row])
+        for j, b in enumerate(row):
+            if not isinstance(b, str):
+                raise ValidationError(
+                    f"partition.contexts[{i}].behaviors[{j}]: must be a "
+                    f"string, got {b!r}"
+                )
+        behaviors.append(row)
     try:
         partition = ContextPartition(names, behaviors)
     except ValidationError as exc:
@@ -182,7 +188,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
                     [np.asarray(block[c], dtype=np.float64)
                      for block in emissions_data]
                 )
-            except (ValueError, IndexError, TypeError) as exc:
+            except (ValueError, IndexError, KeyError, TypeError) as exc:
                 raise ValidationError(
                     f"system.emissions[*][{c}]: malformed rows ({exc})"
                 ) from exc
@@ -311,12 +317,10 @@ def write_trajectory_csv(
     path: str | Path,
     partition: ContextPartition,
     record: RunRecord,
-    f_mp: list[float] | None = None,
 ) -> Path:
     """Round-by-round trajectory: resampled contexts, policy, coherence.
 
-    The header comment lines carry the config echo and seed; pass f_mp to add
-    the optional mutual-predictability column.
+    The header comment lines carry the config echo and seed.
     """
     meta = {
         "config": record.config.to_dict(),
@@ -328,10 +332,7 @@ def write_trajectory_csv(
         },
     }
     lines = _metadata_lines(record.kind, meta)
-    header = "round,changed,policy,coherence_bits"
-    if f_mp is not None:
-        header += ",f_mp_bits"
-    lines.append(header)
+    lines.append("round,changed,policy,coherence_bits")
     for t in range(len(record)):
         if t == 0:
             changed = ""
@@ -344,10 +345,9 @@ def write_trajectory_csv(
             partition.behavior_name(record.contexts[j], int(a))
             for j, a in enumerate(record.trajectory[t])
         )
-        row = f"{t},{changed},{names},{_fmt(float(record.coherence_bits[t]))}"
-        if f_mp is not None:
-            row += f",{_fmt(f_mp[t])}"
-        lines.append(row)
+        lines.append(
+            f"{t},{changed},{names},{_fmt(float(record.coherence_bits[t]))}"
+        )
     return write_text(path, "\n".join(lines) + "\n")
 
 

@@ -110,7 +110,8 @@ class RunRecord:
     trajectory has steps+1 rows (the initial policy included); row t holds the
     local behavior index per covered context. coherence_bits[t] is the
     sequential coherence of row t relative to the run prior (-inf allowed).
-    moves[t] lists the context positions resampled when producing row t+1.
+    moves is a (steps, m) int64 array: row t holds the m context positions
+    resampled when producing row t+1.
     """
 
     kind: str
@@ -118,7 +119,7 @@ class RunRecord:
     sizes: tuple[int, ...]
     trajectory: np.ndarray
     coherence_bits: np.ndarray
-    moves: list[tuple[int, ...]]
+    moves: np.ndarray
     seed: int
     config: SamplerConfig
     prior_counts: dict[int, int] = field(default_factory=dict)
@@ -197,7 +198,6 @@ def gibbs_run(
     coherence_bits = np.empty(config.steps + 1)
     trajectory[0] = assignment
     coherence_bits[0] = core.coherence_bits(assignment)
-    moves: list[tuple[int, ...]] = []
 
     for t in range(config.steps):
         j = int(picks[t])
@@ -208,7 +208,6 @@ def gibbs_run(
         coherence_bits[t + 1] = (
             top + math.log(float(p[a_new])) - core.log_prior_ml
         ) / LN2
-        moves.append((j,))
 
     return RunRecord(
         kind="gibbs",
@@ -216,7 +215,7 @@ def gibbs_run(
         sizes=core.sizes,
         trajectory=trajectory,
         coherence_bits=coherence_bits,
-        moves=moves,
+        moves=picks[:, None],
         seed=config.seed,
         config=config,
         prior_counts=dict(core.prior.counts),
@@ -257,7 +256,7 @@ def training_friendly_gibbs_run(
     coherence_bits = np.empty(config.steps + 1)
     trajectory[0] = assignment
     coherence_bits[0] = core.coherence_bits(assignment)
-    moves: list[tuple[int, ...]] = []
+    moves = np.empty((config.steps, k - keep), dtype=np.int64)
     anchor_p: list[np.ndarray] | None = None
 
     for t in range(config.steps):
@@ -291,7 +290,7 @@ def training_friendly_gibbs_run(
             )
         trajectory[t + 1] = assignment
         coherence_bits[t + 1] = core.coherence_bits(assignment)
-        moves.append(resampled)
+        moves[t] = resampled
 
     return RunRecord(
         kind="tf-gibbs",
@@ -340,14 +339,12 @@ def debate_run(
     coherence_bits = np.empty(config.steps + 1)
     trajectory[0] = state
     coherence_bits[0] = core.coherence_bits(trajectory[0])
-    moves: list[tuple[int, ...]] = []
 
     for t in range(config.steps):
         respond(1, core.leave_one_out(state, 1)[0])
         respond(0, core.leave_one_out(state, 0)[0])
         trajectory[t + 1] = state
         coherence_bits[t + 1] = core.coherence_bits(trajectory[t + 1])
-        moves.append((0, 1))
 
     return RunRecord(
         kind="debate",
@@ -355,7 +352,7 @@ def debate_run(
         sizes=core.sizes,
         trajectory=trajectory,
         coherence_bits=coherence_bits,
-        moves=moves,
+        moves=np.tile(np.arange(2, dtype=np.int64), (config.steps, 1)),
         seed=config.seed,
         config=config,
         prior_counts=dict(core.prior.counts),

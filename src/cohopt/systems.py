@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DegenerateConditioningError,
-    EmptySupportError,
     EnumerationCapError,
     ValidationError,
 )
@@ -718,7 +717,7 @@ class Conditioned:
         )
         total = masses.sum()
         if total <= 0.0:
-            raise EmptySupportError(
+            raise DegenerateConditioningError(
                 "degenerate conditioning: no sub-policy has positive mass"
             )
         return masses / total

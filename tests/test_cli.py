@@ -5,10 +5,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohopt.cli import main
 
@@ -435,6 +440,16 @@ MALFORMED_SCENARIOS = {
         _with(MIXTURE, latent_weights=["a", "b"]), "system.latent_weights"
     ),
     "emissions-number": (_with(MIXTURE, emissions=5), "system.emissions"),
+    "emissions-block-object": (
+        _with(MIXTURE, emissions=[[[0.9, 0.1]], {}]), "system.emissions[*][0]"
+    ),
+    "behavior-null": (
+        {
+            "partition": {"contexts": [{"name": "a", "behaviors": ["x", None]}]},
+            "system": MIXTURE,
+        },
+        "partition.contexts[0].behaviors[1]",
+    ),
     "context-name-list": (
         {
             "partition": {"contexts": [{"name": ["x"], "behaviors": ["x", "y"]}]},
@@ -474,3 +489,129 @@ def test_enumerate_writer_honors_cap_above_default(
     )
     assert result.exit_code == 0, result.output
     assert len(_read_rows(out / "xbeta.csv")) == 10
+
+
+# Fuzzing: valid, degenerate and malformed scenario files against the
+# commands that read them. Only the documented exit codes may occur, and a
+# successful run never prints or writes a nan.
+
+JUNK = [None, "abc", -1.0, 2.0, 5, True, [], {}, [[]], math.nan, math.inf]
+
+
+def _prob_row(size: int):
+    """A row of probabilities: often normalized, sometimes one-hot or all
+    zero (degenerate)."""
+    return st.lists(
+        st.integers(0, 3), min_size=size, max_size=size
+    ).map(lambda w: [x / sum(w) if sum(w) else 0.0 for x in w])
+
+
+@st.composite
+def _fuzz_scenarios(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    behaviors = [[f"c{i}b{j}" for j in range(n)] for i, n in enumerate(sizes)]
+    if draw(st.booleans()):
+        n_latents = draw(st.integers(1, 3))
+        system = {
+            "type": "mixture",
+            "latent_weights": draw(_prob_row(n_latents)),
+            "emissions": [
+                [draw(_prob_row(n)) for n in sizes] for _ in range(n_latents)
+            ],
+        }
+    else:
+        flat = draw(_prob_row(math.prod(sizes)))
+        system = {
+            "type": "joint_table",
+            "table": np.reshape(flat, sizes).tolist(),
+            "epsilon": draw(st.sampled_from([0.0, 0.05, 0.5, -0.1])),
+        }
+    payload = {
+        "partition": {
+            "contexts": [
+                {"name": f"c{i}", "behaviors": row}
+                for i, row in enumerate(behaviors)
+            ]
+        },
+        "system": system,
+        "ground_truth": [row[0] for row in behaviors],
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        payload = _mutate(payload, draw)
+    return payload, behaviors
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+def _mutate(payload, draw):
+    """Replace the value at one key path with junk, or delete a dict key."""
+    path = draw(st.sampled_from(list(_paths(payload))))
+    if not path:
+        return draw(st.sampled_from(JUNK))
+    payload = json.loads(json.dumps(payload))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(JUNK))
+    return payload
+
+
+def _fuzz_args(draw, command: str, behaviors, out: str) -> list[str]:
+    if command == "coherence":
+        names = [draw(st.sampled_from(row)) for row in behaviors]
+        if draw(st.integers(0, 9)) == 0:
+            names = names[:-1] if draw(st.booleans()) else names + ["zz"]
+        return ["--policy", ",".join(names)]
+    beta = draw(st.sampled_from(["0.5", "1", "2", "inf"]))
+    if command == "enumerate":
+        cap = draw(st.sampled_from(["1", "4", "1000000"]))
+        return ["--beta", beta, "--cap", cap, "--out", out]
+    method = draw(st.sampled_from(["gibbs", "tf-gibbs", "debate", "bootstrap", "icm"]))
+    return [
+        "--method", method,
+        "--steps", str(draw(st.integers(1, 5))),
+        "--seed", str(draw(st.integers(0, 3))),
+        "--beta", beta,
+        "--anchor-weight", draw(st.sampled_from(["0", "0.5", "1"])),
+        "--icm-iters", "3",
+        "--icm-restarts", "2",
+        "--out", out,
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scenario=_fuzz_scenarios(),
+    command=st.sampled_from(["coherence", "enumerate", "run"]),
+    data=st.data(),
+)
+def test_cli_fuzz_exit_codes_and_finite_output(scenario, command, data):
+    payload, behaviors = scenario
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(payload))
+        out = Path(tmp) / "out"
+        args = _fuzz_args(data.draw, command, behaviors, str(out))
+        result = CliRunner().invoke(main, [command, str(path), *args])
+        assert result.exit_code in (0, 2, 3, 4), (
+            result.output, repr(result.exception)
+        )
+        if result.exit_code == 0:
+            texts = [result.output]
+            if out.exists():
+                texts += [f.read_text() for f in sorted(out.rglob("*"))]
+            for text in texts:
+                assert not re.search(
+                    r"\bnan\b", text.replace(tmp, ""), re.IGNORECASE
+                ), text

@@ -15,6 +15,7 @@ from .systems import (
     ErgodicityReport,
     MixtureBayesSystem,
     PolicyState,
+    check_beta,
     check_chain_rule,
     check_ergodicity,
     enumerate_policy_masses,

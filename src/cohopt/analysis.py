@@ -1,5 +1,9 @@
 """Distribution diagnostics and generalization-bound computations.
 
+Every bound is one description-length regularizer: the optimality gap
+-2·chi + log2 e, the radicands built on it and log2(1/delta) are each written
+once and shared by the reports, regularized selection and the trials.
+
 Bound formulas come in two radicand sign conventions: "corrected" adds the
 log2(1/delta) confidence term inside the square root (the standard
 concentration form, asserted by the test suite), while "paper" subtracts it
@@ -33,6 +37,9 @@ from .systems import (
 )
 
 LOG2_E = math.log2(math.e)
+TRIAL_SIZES = (3, 3, 3)
+TRIAL_LATENTS = 2
+TRIAL_EMISSION_CONCENTRATION = 1.0
 
 __all__ = [
     "BoundReport",
@@ -152,9 +159,36 @@ def agreement(
 
 
 def _log_delta_term(delta: float) -> float:
+    """log2(1/delta), the confidence term; delta must lie in (0, 1]."""
     if not 0.0 < delta <= 1.0:
         raise ValidationError(f"delta must be in (0, 1], got {delta}")
     return math.log2(1.0 / delta)
+
+
+def _check_count(n: int, name: str = "N") -> None:
+    if not n >= 1:
+        raise ValidationError(f"{name} must be >= 1, got {n}")
+
+
+def _reject_nan(**values: float) -> None:
+    for name, value in values.items():
+        if math.isnan(value):
+            raise ValidationError(f"{name} must not be NaN")
+
+
+def _gap(chi):
+    """-2·chi + log2 e, the optimality gap of coherence chi (float or array)."""
+    return -2.0 * chi + LOG2_E
+
+
+def _regularizer_radicand(gap, signed_log_term: float, n: int):
+    """(gap ± log2(1/delta)) / (2N), the squared regularizer."""
+    return (gap + signed_log_term) / (2.0 * n)
+
+
+def _floor_radicand(gap, signed_log_term: float, n: int):
+    """(2G ± 2·log2(1/delta)) / N, the squared distance of the floor below 1."""
+    return (2.0 * gap + 2.0 * signed_log_term) / n
 
 
 def _signed(log_term: float, sign_convention: str) -> float:
@@ -180,9 +214,8 @@ def uniform_convergence_bound(
     probability 1 − delta (corrected sign).
     """
     chi_bits = float(chi)
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
-    if chi_bits > 1e-9:
+    _check_count(N)
+    if not chi_bits <= 1e-9:
         raise ValidationError(f"chi must be <= 0, got {chi_bits}")
     log_term = _log_delta_term(delta)
     inputs = {
@@ -191,24 +224,19 @@ def uniform_convergence_bound(
         "delta": float(delta),
         "sign_convention": sign_convention,
     }
-    radicand = (-2.0 * chi_bits + LOG2_E + _signed(log_term, sign_convention)) / (
-        2.0 * N
+    radicand = _regularizer_radicand(
+        _gap(chi_bits), _signed(log_term, sign_convention), N
     )
     if radicand < 0.0:
-        return BoundReport(
-            kind="uniform-convergence",
-            value=math.nan,
-            valid=False,
-            note=f"negative radicand {radicand!r}",
-            inputs=inputs,
-        )
-    value = math.sqrt(radicand)
-    valid = value <= 1.0
+        value, note = math.nan, f"negative radicand {radicand!r}"
+    else:
+        value = math.sqrt(radicand)
+        note = "" if value <= 1.0 else "vacuous: bound exceeds 1"
     return BoundReport(
         kind="uniform-convergence",
         value=value,
-        valid=valid,
-        note="" if valid else "vacuous: bound exceeds 1",
+        valid=not note,
+        note=note,
         inputs=inputs,
     )
 
@@ -223,10 +251,7 @@ def optimality_gap(
     Measures prior quality for regularization; +inf when the ground truth has
     zero mass under the prior.
     """
-    chi = coherence(system, prior, ground_truth).bits
-    if chi == -math.inf:
-        return math.inf
-    return -2.0 * chi + LOG2_E
+    return _gap(coherence(system, prior, ground_truth).bits)
 
 
 def accuracy_lower_bound(
@@ -237,8 +262,8 @@ def accuracy_lower_bound(
 ) -> BoundReport:
     """Accuracy floor 1 - sqrt((2G ± 2·log2(1/delta))/N) for the regularized
     selection rule; may be negative (vacuous) and is flagged, not clamped."""
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
+    _check_count(N)
+    _reject_nan(G=G)
     log_term = _log_delta_term(delta)
     inputs = {
         "G": float(G),
@@ -247,29 +272,19 @@ def accuracy_lower_bound(
         "sign_convention": sign_convention,
     }
     if math.isinf(G):
-        return BoundReport(
-            kind="accuracy-lower-bound",
-            value=-math.inf,
-            valid=False,
-            note="optimality gap is infinite",
-            inputs=inputs,
-        )
-    radicand = (2.0 * G + 2.0 * _signed(log_term, sign_convention)) / N
-    if radicand < 0.0:
-        return BoundReport(
-            kind="accuracy-lower-bound",
-            value=math.nan,
-            valid=False,
-            note=f"negative radicand {radicand!r}",
-            inputs=inputs,
-        )
-    value = 1.0 - math.sqrt(radicand)
-    valid = 0.0 <= value <= 1.0
+        value, note = -math.inf, "optimality gap is infinite"
+    else:
+        radicand = _floor_radicand(G, _signed(log_term, sign_convention), N)
+        if radicand < 0.0:
+            value, note = math.nan, f"negative radicand {radicand!r}"
+        else:
+            value = 1.0 - math.sqrt(radicand)
+            note = "" if 0.0 <= value <= 1.0 else "vacuous: bound below 0"
     return BoundReport(
         kind="accuracy-lower-bound",
         value=value,
-        valid=valid,
-        note="" if valid else "vacuous: bound below 0",
+        valid=not note,
+        note=note,
         inputs=inputs,
     )
 
@@ -281,10 +296,10 @@ def srm_select(
     train_samples: Sequence[tuple[int, int]],
     N: int | None = None,
     delta: float = 0.05,
-    sign_convention: str = "corrected",
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DPolicy:
-    """Argmax of training accuracy minus the description-length regularizer.
+    """Argmax of training accuracy minus the description-length regularizer
+    (corrected sign).
 
     With no train samples the objective reduces to the coherence argmax. Ties
     break toward higher coherence, then lower policy index.
@@ -294,9 +309,9 @@ def srm_select(
     for c, a in samples:
         partition._check_slot(c, a)
     n_train = len(samples) if N is None else int(N)
-    if samples and n_train < 1:
-        raise ValidationError(f"N must be >= 1, got {n_train}")
-    signed_log_term = _signed(_log_delta_term(delta), sign_convention)
+    if samples:
+        _check_count(n_train)
+    log_term = _log_delta_term(delta)
     core = Conditioned(system, prior)
     if candidates is None:
         with np.errstate(divide="ignore"):
@@ -312,7 +327,7 @@ def srm_select(
     if samples:
         coords = np.unravel_index(index, partition.sizes)
         alpha_train = sum(coords[c] == a for c, a in samples) / n_train
-    picked = _srm_pick(chi, alpha_train, n_train, signed_log_term)
+    picked = _srm_pick(chi, alpha_train, n_train, log_term)
     return partition.policy_at(int(index[picked]))
 
 
@@ -320,18 +335,18 @@ def _srm_pick(
     chi: np.ndarray,
     alpha_train: np.ndarray | None,
     n_train: int,
-    signed_log_term: float,
+    log_term: float,
 ) -> int:
     """Position of the regularized-selection winner in a pool.
 
-    The objective is training accuracy minus the description-length
-    regularizer sqrt(max(0, (-2·chi + log2 e ± log2(1/delta)) / (2·n_train))),
-    or chi itself without training samples (alpha_train None). Ties go to
-    higher coherence, then to the lower position.
+    The objective is training accuracy minus the corrected-sign
+    description-length regularizer, its radicand clamped at 0, or chi itself
+    without training samples (alpha_train None). Ties go to higher
+    coherence, then to the lower position.
     """
     objective = chi
     if alpha_train is not None:
-        radicand = (-2.0 * chi + LOG2_E + signed_log_term) / (2.0 * n_train)
+        radicand = _regularizer_radicand(_gap(chi), log_term, n_train)
         objective = alpha_train - np.sqrt(np.maximum(radicand, 0.0))
     return int(np.lexsort((np.arange(chi.size), -chi, -objective))[0])
 
@@ -368,13 +383,14 @@ def regularization_bound_rhs(
         alphaQ - sqrt(2·log2(1/delta)/N) + sqrt(2/(N·log2(1/delta)))·(H - KL)
 
     Strictly decreasing in KL for fixed other inputs (the vanishing remainder
-    term is dropped).
+    term is dropped). delta = 1 is rejected: the formula divides by
+    log2(1/delta).
     """
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
-    if not 0.0 < delta < 1.0:
+    _check_count(N)
+    _reject_nan(alphaQ=alphaQ, H=H, KL=KL)
+    log_term = _log_delta_term(delta)
+    if log_term == 0.0:
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
-    log_term = math.log2(1.0 / delta)
     return (
         alphaQ
         - math.sqrt(2.0 * log_term / N)
@@ -398,14 +414,15 @@ def conjectured_posttrain_count(
     the posttrain mean itself depends on the chosen budget, so treat the
     value as a one-shot evaluation, not a solved fixed point.
     """
+    _reject_nan(
+        mean_pretrain_coh=mean_pretrain_coh,
+        mean_posttrain_coh=mean_posttrain_coh,
+    )
     if not 0.0 <= pretrain_error < 1.0:
         raise ValidationError(
             f"pretrain_error must be in [0, 1), got {pretrain_error}"
         )
-    if pretrain_count < 1:
-        raise ValidationError(
-            f"pretrain_count must be >= 1, got {pretrain_count}"
-        )
+    _check_count(pretrain_count, "pretrain_count")
     if mean_posttrain_coh == 0.0:
         raise ValidationError("mean_posttrain_coh must be nonzero")
     return (
@@ -491,35 +508,33 @@ def bound_validity_trials(
     seed: int = 0,
     n_train: int = 50,
     delta: float = 0.1,
-    sizes: Sequence[int] = (3, 3, 3),
-    n_latents: int = 2,
-    emission_concentration: float = 1.0,
 ) -> list[TrialRow]:
     """Seeded Monte Carlo for the uniform gap bound.
 
-    Per trial: draw a random positive system, a ground truth from its exact
-    policy distribution, and n_train training contexts uniformly with
-    replacement; then check |accuracy - training accuracy| <= bound for every
-    policy simultaneously. violated uses the corrected sign;
-    violated_paper reports the printed-sign variant.
+    Per trial: draw a random positive system (TRIAL_LATENTS latents over
+    contexts of TRIAL_SIZES), a ground truth from its exact policy
+    distribution, and n_train training contexts uniformly with replacement;
+    then check |accuracy - training accuracy| <= bound for every policy
+    simultaneously. violated uses the corrected sign; violated_paper reports
+    the printed-sign variant, where a negative radicand counts as a
+    violation.
     """
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
-    sizes = tuple(int(s) for s in sizes)
-    k = len(sizes)
-    count = math.prod(sizes)
-    partition = generic_partition(sizes)
-    coords = np.array(np.unravel_index(np.arange(count), sizes))
-    log_term = math.log2(1.0 / delta)
+    _check_count(n_trials, "n_trials")
+    _check_count(n_train, "n_train")
+    log_term = _log_delta_term(delta)
+    k = len(TRIAL_SIZES)
+    count = math.prod(TRIAL_SIZES)
+    partition = generic_partition(TRIAL_SIZES)
+    coords = np.array(np.unravel_index(np.arange(count), TRIAL_SIZES))
     streams = np.random.SeedSequence(seed).spawn(n_trials)
     rows: list[TrialRow] = []
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         system = random_mixture_system(
             partition,
-            n_latents,
+            TRIAL_LATENTS,
             rng,
-            emission_concentration=emission_concentration,
+            emission_concentration=TRIAL_EMISSION_CONCENTRATION,
         )
         masses = enumerate_policy_masses(system)
         truth_index = int(
@@ -536,22 +551,23 @@ def bound_validity_trials(
 
         chi = np.log2(masses)
         gaps = np.abs(alpha_true - alpha_train)
+        policy_gaps = _gap(chi)
         bound_corrected = np.sqrt(
-            (-2.0 * chi + LOG2_E + log_term) / (2.0 * n_train)
+            _regularizer_radicand(policy_gaps, log_term, n_train)
         )
-        radicand_paper = (-2.0 * chi + LOG2_E - log_term) / (2.0 * n_train)
         with np.errstate(invalid="ignore"):
-            bound_paper = np.sqrt(radicand_paper)
+            bound_paper = np.sqrt(
+                _regularizer_radicand(policy_gaps, -log_term, n_train)
+            )
         worst = int(np.argmax(gaps))
         violated = bool(np.any(gaps > bound_corrected))
         violated_paper = bool(
             np.any(gaps > np.where(np.isnan(bound_paper), -np.inf, bound_paper))
-            or np.any(radicand_paper < 0)
         )
 
         picked = _srm_pick(chi, alpha_train, n_train, log_term)
-        gap_truth = -2.0 * float(chi[truth_index]) + LOG2_E
-        floor = 1.0 - math.sqrt((2.0 * gap_truth + 2.0 * log_term) / n_train)
+        gap_truth = float(policy_gaps[truth_index])
+        floor = 1.0 - math.sqrt(_floor_radicand(gap_truth, log_term, n_train))
         srm_accuracy = float(alpha_true[picked])
         rows.append(
             TrialRow(

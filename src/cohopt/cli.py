@@ -29,11 +29,7 @@ from .analysis import (
 )
 from .checks import run_all_sweeps
 from .coherence import coherence, pmi, softmax_over_coherence
-from .errors import (
-    DegenerateConditioningError,
-    EnumerationCapError,
-    ValidationError,
-)
+from .errors import CohoptError, ValidationError
 from .experiments import equivalence_study
 from .fileio import (
     load_scenario,
@@ -52,14 +48,10 @@ from .samplers import (
     simple_bootstrap_run,
     training_friendly_gibbs_run,
 )
-from .systems import DEFAULT_ENUMERATION_CAP, PolicyState
+from .systems import DEFAULT_ENUMERATION_CAP, PolicyState, check_beta
 
 OUTPUT_DIR_ENV = "COHOPT_OUTPUT_DIR"
 TV_REPORT_CAP = 4096
-
-EXIT_VALIDATION = 2
-EXIT_DEGENERATE = 3
-EXIT_CAP = 4
 
 
 def _guard(fn):
@@ -67,15 +59,9 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ValidationError as exc:
+        except CohoptError as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        except EnumerationCapError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_CAP)
-        except DegenerateConditioningError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DEGENERATE)
+            sys.exit(exc.exit_code)
 
     return wrapper
 
@@ -85,9 +71,10 @@ def _parse_beta(_ctx, _param, value: str) -> float:
         beta = math.inf if value.lower() in ("inf", "+inf") else float(value)
     except ValueError:
         raise click.BadParameter(f"not a number: {value!r}") from None
-    if beta <= 0:
-        raise click.BadParameter(f"beta must be positive, got {value}")
-    return beta
+    try:
+        return check_beta(beta)
+    except ValidationError:
+        raise click.BadParameter(f"beta must be positive, got {value}") from None
 
 
 def _out_dir(out: str | None) -> Path:

@@ -24,6 +24,7 @@ from .systems import (
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    check_beta,
     infer,
     temper,
     validate_policy,
@@ -113,8 +114,8 @@ class PolicyDistribution:
         object.__setattr__(self, "masses", masses)
         if masses.ndim != 1 or masses.size == 0:
             raise ValidationError("masses must be a non-empty vector")
-        if np.any(masses < 0):
-            raise ValidationError("masses must be non-negative")
+        if not np.all(np.isfinite(masses) & (masses >= 0)):
+            raise ValidationError("masses must be finite and non-negative")
         total = float(masses.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(
@@ -140,8 +141,7 @@ def softmax_over_coherence(
     beta = +inf collapses to the uniform distribution over all coherence
     maximizers found within 1e-12 bits of the maximum.
     """
-    if beta <= 0:
-        raise ValidationError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     return PolicyDistribution(
         masses=temper(Conditioned(system).masses(cap), beta),
         provenance="exact-softmax",

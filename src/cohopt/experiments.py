@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .systems import (
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    check_beta,
     enumerate_policy_masses,
     generic_partition,
     infer,
@@ -71,7 +72,6 @@ class Scenario:
     supervised: tuple[int, ...]
     unsupervised: tuple[int, ...]
     seed: int
-    generation: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         overlap = set(self.supervised) & set(self.unsupervised)
@@ -100,7 +100,6 @@ def generate_scenario(
     n_contexts: int,
     context_size: int,
     n_latents: int,
-    latent_concentration: float = 1.0,
     emission_concentration: float = 0.5,
     unsupervised_fraction: float = 0.5,
     unsupervised_count: int | None = None,
@@ -120,15 +119,13 @@ def generate_scenario(
         raise ValidationError("need at least one context and one behavior")
     if not 0.0 <= label_noise <= 1.0:
         raise ValidationError(f"label_noise must be in [0, 1], got {label_noise}")
-    if truth_beta <= 0:
-        raise ValidationError(f"truth_beta must be positive, got {truth_beta}")
+    check_beta(truth_beta, "truth_beta")
     rng = np.random.default_rng(seed)
     partition = generic_partition([context_size] * n_contexts)
     system = random_mixture_system(
         partition,
         n_latents,
         rng,
-        latent_concentration=latent_concentration,
         emission_concentration=emission_concentration,
     )
     masses = enumerate_policy_masses(system)
@@ -157,17 +154,6 @@ def generate_scenario(
         supervised=supervised,
         unsupervised=unsupervised,
         seed=seed,
-        generation={
-            "n_contexts": n_contexts,
-            "context_size": context_size,
-            "n_latents": n_latents,
-            "latent_concentration": latent_concentration,
-            "emission_concentration": emission_concentration,
-            "unsupervised_count": unsupervised_count,
-            "seed": seed,
-            "truth_beta": "inf" if math.isinf(truth_beta) else truth_beta,
-            "label_noise": label_noise,
-        },
     )
 
 

@@ -84,19 +84,24 @@ def write_json(path: str | Path, payload: dict) -> Path:
     return write_text(path, text + "\n")
 
 
+def _csv_line(values) -> str:
+    """One CSV line of formatted cells; a cell holding a comma, a double
+    quote or a line break is quoted, with its quotes doubled."""
+    cells = []
+    for value in values:
+        cell = _fmt(value)
+        if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+            cell = '"' + cell.replace('"', '""') + '"'
+        cells.append(cell)
+    return ",".join(cells)
+
+
 def write_rows_csv(
     path: str | Path, fieldnames: list[str], rows: list[dict]
 ) -> Path:
-    """CSV with deterministic float formatting; values must be comma-free."""
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        cells = []
-        for name in fieldnames:
-            cell = _fmt(row.get(name))
-            if "," in cell or "\n" in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            cells.append(cell)
-        lines.append(",".join(cells))
+    """CSV with deterministic float formatting, one line per row dict."""
+    lines = [_csv_line(fieldnames)]
+    lines += [_csv_line(row.get(name) for name in fieldnames) for row in rows]
     return write_text(path, "\n".join(lines) + "\n")
 
 
@@ -324,7 +329,7 @@ def write_trajectory_csv(
     """
     meta = {
         "config": record.config.to_dict(),
-        "seed": record.seed,
+        "seed": record.config.seed,
         "contexts": [partition.context_names[c] for c in record.contexts],
         "prior": {
             partition.global_name(k): v
@@ -332,7 +337,7 @@ def write_trajectory_csv(
         },
     }
     lines = _metadata_lines(record.kind, meta)
-    lines.append("round,changed,policy,coherence_bits")
+    lines.append(_csv_line(["round", "changed", "policy", "coherence_bits"]))
     for t in range(len(record)):
         if t == 0:
             changed = ""
@@ -346,7 +351,7 @@ def write_trajectory_csv(
             for j, a in enumerate(record.trajectory[t])
         )
         lines.append(
-            f"{t},{changed},{names},{_fmt(float(record.coherence_bits[t]))}"
+            _csv_line((t, changed, names, float(record.coherence_bits[t])))
         )
     return write_text(path, "\n".join(lines) + "\n")
 
@@ -406,19 +411,17 @@ def write_bootstrap_csv(
     """Step-by-step bootstrap trace with the visiting order and probabilities."""
     meta = {
         "config": result.config.to_dict(),
-        "seed": result.seed,
+        "seed": result.config.seed,
         "contexts": [partition.context_names[c] for c in result.contexts],
         "log2_mass": result.log2_mass,
     }
     lines = _metadata_lines("bootstrap", meta)
-    lines.append("step,context,behavior,probability")
+    lines.append(_csv_line(["step", "context", "behavior", "probability"]))
     for n, j in enumerate(result.order):
         context = result.contexts[j]
         behavior = partition.behavior_name(
             context, result.policy.assignment[j]
         )
-        lines.append(
-            f"{n},{partition.context_names[context]},{behavior},"
-            f"{_fmt(result.step_probabilities[n])}"
-        )
+        name = partition.context_names[context]
+        lines.append(_csv_line((n, name, behavior, result.step_probabilities[n])))
     return write_text(path, "\n".join(lines) + "\n")

@@ -27,6 +27,7 @@ from .systems import (
     PolicyState,
     _check_cap,
     _tempered_weights,
+    check_beta,
     temper,
 )
 from .coherence import PolicyDistribution
@@ -65,8 +66,7 @@ class SamplerConfig:
     burn_in: int = 0
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValidationError(f"beta must be positive, got {self.beta}")
+        check_beta(self.beta)
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 < self.gamma < 1.0:
@@ -120,7 +120,6 @@ class RunRecord:
     trajectory: np.ndarray
     coherence_bits: np.ndarray
     moves: np.ndarray
-    seed: int
     config: SamplerConfig
     prior_counts: dict[int, int] = field(default_factory=dict)
 
@@ -144,7 +143,6 @@ class BootstrapResult:
     step_probabilities: tuple[float, ...]
     log2_mass: float
     contexts: tuple[int, ...]
-    seed: int
     config: SamplerConfig
 
 
@@ -216,7 +214,6 @@ def gibbs_run(
         trajectory=trajectory,
         coherence_bits=coherence_bits,
         moves=picks[:, None],
-        seed=config.seed,
         config=config,
         prior_counts=dict(core.prior.counts),
     )
@@ -299,7 +296,6 @@ def training_friendly_gibbs_run(
         trajectory=trajectory,
         coherence_bits=coherence_bits,
         moves=moves,
-        seed=config.seed,
         config=config,
         prior_counts=dict(core.prior.counts),
     )
@@ -353,7 +349,6 @@ def debate_run(
         trajectory=trajectory,
         coherence_bits=coherence_bits,
         moves=np.tile(np.arange(2, dtype=np.int64), (config.steps, 1)),
-        seed=config.seed,
         config=config,
         prior_counts=dict(core.prior.counts),
     )
@@ -411,7 +406,6 @@ def simple_bootstrap_run(
         step_probabilities=tuple(trace),
         log2_mass=log2_mass,
         contexts=core.contexts,
-        seed=config.seed,
         config=config,
     )
 
@@ -598,8 +592,7 @@ def exact_conditional_distribution(
     With an empty prior over all contexts this equals the softmax over
     coherence; it is the sampler family's exact reference distribution.
     """
-    if beta <= 0:
-        raise ValidationError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     core = Conditioned(system, prior, contexts)
     return PolicyDistribution(
         masses=temper(core.masses(cap), beta),

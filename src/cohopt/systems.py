@@ -39,6 +39,7 @@ __all__ = [
     "infer",
     "tempered_infer",
     "temper",
+    "check_beta",
     "from_joint_table",
     "check_chain_rule",
     "check_ergodicity",
@@ -320,9 +321,6 @@ class MixtureBayesSystem:
     emissions:
         Per context, an array of shape (n_latents, context size); each row is
         a probability vector over that context's behaviors.
-    smoothing_epsilon:
-        Echo of the smoothing used by :func:`from_joint_table`; 0 for directly
-        constructed systems.
     """
 
     def __init__(
@@ -330,7 +328,6 @@ class MixtureBayesSystem:
         partition: ContextPartition,
         latent_weights: Sequence[float] | np.ndarray,
         emissions: Sequence[np.ndarray],
-        smoothing_epsilon: float = 0.0,
     ) -> None:
         self.partition = partition
         weights = np.array(latent_weights, dtype=np.float64, copy=True)
@@ -373,7 +370,6 @@ class MixtureBayesSystem:
             arr.setflags(write=False)
         self.latent_weights = weights
         self._emissions = tuple(rows)
-        self.smoothing_epsilon = float(smoothing_epsilon)
 
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(weights)
@@ -454,14 +450,21 @@ def _tempered_weights(p: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
+def check_beta(beta: float, name: str = "beta") -> float:
+    """Return beta if it is a valid inverse temperature: positive, +inf
+    allowed, NaN rejected."""
+    if not beta > 0:
+        raise ValidationError(f"{name} must be positive, got {beta}")
+    return beta
+
+
 def temper(probabilities: np.ndarray, beta: float) -> np.ndarray:
     """Apply p -> p^beta to every mass and re-normalize.
 
     beta may be +inf: uniform over the entries within 1e-12 bits of the
     maximum.
     """
-    if beta <= 0:
-        raise ValidationError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     p = np.asarray(probabilities, dtype=np.float64)
     if float(p.max()) <= 0.0:
         raise DegenerateConditioningError(
@@ -522,9 +525,7 @@ def from_joint_table(
             rows = np.full((n_latents, size), epsilon / (size - 1))
             rows[np.arange(n_latents), coords[c]] = 1.0 - epsilon
         emissions.append(rows)
-    return MixtureBayesSystem(
-        partition, weights, emissions, smoothing_epsilon=epsilon
-    )
+    return MixtureBayesSystem(partition, weights, emissions)
 
 
 def check_chain_rule(
@@ -767,10 +768,10 @@ def random_mixture_system(
     partition: ContextPartition,
     n_latents: int,
     rng: np.random.Generator,
-    latent_concentration: float = 1.0,
     emission_concentration: float = 1.0,
 ) -> MixtureBayesSystem:
-    """Mixture with Dirichlet-drawn latent weights and emission rows.
+    """Mixture with flat-Dirichlet latent weights and Dirichlet-drawn emission
+    rows.
 
     Dirichlet draws are almost surely strictly positive, so the resulting
     system passes the positivity check. Smaller emission concentration gives
@@ -778,7 +779,7 @@ def random_mixture_system(
     """
     if n_latents < 1:
         raise ValidationError(f"n_latents must be >= 1, got {n_latents}")
-    weights = rng.dirichlet([latent_concentration] * n_latents)
+    weights = rng.dirichlet([1.0] * n_latents)
     weights = weights / weights.sum()
     emissions = []
     for size in partition.sizes:

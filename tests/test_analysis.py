@@ -14,6 +14,7 @@ from cohopt import (
     PolicyDistribution,
     PolicyState,
     SamplerConfig,
+    TrialRow,
     ValidationError,
     accuracy_lower_bound,
     agreement,
@@ -23,6 +24,7 @@ from cohopt import (
     distribution_entropy,
     distribution_kl,
     empirical_distribution,
+    enumerate_policy_masses,
     generic_partition,
     gibbs_run,
     infer,
@@ -468,3 +470,123 @@ class TestBoundValidityTrials:
             )
         order = np.lexsort((np.arange(27), -chis, -objective))
         assert partition.policy_index(picked.assignment) == int(order[0])
+
+
+def _reference_trials(n_trials, seed, n_train, delta):
+    """bound_validity_trials with every bound written out inline, as the
+    module computed them before the regularizer was shared."""
+    sizes = (3, 3, 3)
+    k, count = len(sizes), math.prod(sizes)
+    partition = generic_partition(sizes)
+    coords = np.array(np.unravel_index(np.arange(count), sizes))
+    log_term = math.log2(1.0 / delta)
+    rows = []
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        rng = np.random.default_rng(stream)
+        system = random_mixture_system(
+            partition, 2, rng, emission_concentration=1.0
+        )
+        masses = enumerate_policy_masses(system)
+        truth_index = int(
+            np.searchsorted(np.cumsum(masses), rng.random() * masses.sum())
+        )
+        truth_index = min(truth_index, count - 1)
+        truth = coords[:, truth_index]
+        draws = rng.integers(0, k, size=n_train)
+        match = coords == truth[:, None]
+        alpha_true = match.mean(axis=0)
+        counts = np.bincount(draws, minlength=k).astype(np.float64)
+        alpha_train = (counts @ match) / n_train
+        chi = np.log2(masses)
+        gaps = np.abs(alpha_true - alpha_train)
+        bound = np.sqrt((-2.0 * chi + LOG2_E + log_term) / (2.0 * n_train))
+        radicand_paper = (-2.0 * chi + LOG2_E - log_term) / (2.0 * n_train)
+        with np.errstate(invalid="ignore"):
+            bound_paper = np.sqrt(radicand_paper)
+        violated_paper = bool(
+            np.any(gaps > np.where(np.isnan(bound_paper), -np.inf, bound_paper))
+            or np.any(radicand_paper < 0)
+        )
+        radicand = (-2.0 * chi + LOG2_E + log_term) / (2.0 * n_train)
+        objective = alpha_train - np.sqrt(np.maximum(radicand, 0.0))
+        picked = int(np.lexsort((np.arange(count), -chi, -objective))[0])
+        gap_truth = -2.0 * float(chi[truth_index]) + LOG2_E
+        floor = 1.0 - math.sqrt((2.0 * gap_truth + 2.0 * log_term) / n_train)
+        worst = int(np.argmax(gaps))
+        rows.append(
+            TrialRow(
+                seed=i,
+                violated=bool(np.any(gaps > bound)),
+                max_gap=float(gaps[worst]),
+                bound_at_max=float(bound[worst]),
+                violated_paper=violated_paper,
+                srm_accuracy=float(alpha_true[picked]),
+                accuracy_floor=floor,
+                srm_violated=bool(alpha_true[picked] < floor),
+            )
+        )
+    return rows
+
+
+class TestSharedRegularizer:
+    @pytest.mark.parametrize(
+        "seed, n_train, delta",
+        [(0, 50, 0.1), (4, 3, 0.5), (9, 200, 0.01), (2, 1, 1.0)],
+    )
+    def test_trials_match_inline_arithmetic(self, seed, n_train, delta):
+        assert bound_validity_trials(
+            60, seed=seed, n_train=n_train, delta=delta
+        ) == _reference_trials(60, seed, n_train, delta)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"delta": 0.0},
+            {"delta": 2.0},
+            {"delta": math.nan},
+            {"n_train": 0},
+            {"n_train": -5},
+        ],
+    )
+    def test_trials_validate_like_the_reports(self, kwargs):
+        with pytest.raises(ValidationError):
+            bound_validity_trials(3, **kwargs)
+
+    def test_reports_share_the_formula(self):
+        chi, n, delta = -3.25, 40, 0.05
+        radicand = (-2.0 * chi + LOG2_E + math.log2(1.0 / delta)) / (2.0 * n)
+        bound = uniform_convergence_bound(chi, n, delta)
+        assert bound.value == math.sqrt(radicand)
+        gap = -2.0 * chi + LOG2_E
+        floor = accuracy_lower_bound(gap, n, delta).value
+        assert floor == 1.0 - math.sqrt((2.0 * gap + 2.0 * math.log2(20.0)) / n)
+
+
+class TestNanBoundInputs:
+    def test_uniform(self):
+        with pytest.raises(ValidationError):
+            uniform_convergence_bound(math.nan, 10, 0.1)
+
+    def test_accuracy(self):
+        with pytest.raises(ValidationError):
+            accuracy_lower_bound(math.nan, 10, 0.1)
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_regularization(self, position):
+        values = [0.8, 2.0, 0.5]
+        values[position] = math.nan
+        with pytest.raises(ValidationError):
+            regularization_bound_rhs(*values, 100, 0.05)
+
+    @pytest.mark.parametrize("position", range(2))
+    def test_sample_count(self, position):
+        values = [-1.5, -0.5]
+        values[position] = math.nan
+        with pytest.raises(ValidationError):
+            conjectured_posttrain_count(*values, 0.1, 20)
+
+    def test_infinite_inputs_keep_their_meaning(self):
+        vacuous = uniform_convergence_bound(-math.inf, 10, 0.1)
+        assert vacuous.value == math.inf and not vacuous.valid
+        floor = accuracy_lower_bound(math.inf, 10, 0.1)
+        assert floor.value == -math.inf and not floor.valid

@@ -3,6 +3,7 @@ byte-for-byte reproducibility."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -615,3 +616,104 @@ def test_cli_fuzz_exit_codes_and_finite_output(scenario, command, data):
                 assert not re.search(
                     r"\bnan\b", text.replace(tmp, ""), re.IGNORECASE
                 ), text
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--delta", "0"],
+        ["--delta", "2"],
+        ["--delta", "nan"],
+        ["--n-train", "0"],
+        ["--n-train", "-5"],
+    ],
+)
+def test_mc_rejects_bad_delta_and_sample_count(runner, tmp_path, flags):
+    result = runner.invoke(
+        main, ["mc", "--trials", "3", *flags, "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+
+
+BETA_COMMANDS = {
+    "enumerate": ["enumerate", str(DEMO_SMOOTHED), "--beta"],
+    "run": ["run", str(DEMO_SMOOTHED), "--steps", "20", "--beta"],
+    "equiv": [
+        "equiv", "--lattice", "1,2", "--n-seeds", "1", "--n-contexts", "3",
+        "--truth-beta",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BETA_COMMANDS))
+@pytest.mark.parametrize(
+    "value, code", [("nan", 2), ("0", 2), ("-1", 2), ("inf", 0)]
+)
+def test_beta_options_reject_nan_like_nonpositive(
+    runner, tmp_path, command, value, code
+):
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, [*BETA_COMMANDS[command], value, "--out", str(out)]
+    )
+    assert result.exit_code == code, result.output
+    if code == 0:
+        for path in out.iterdir():
+            text = path.read_text()
+            assert not re.search(r"\bnan\b", text, re.IGNORECASE), path
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--bound", "uniform", "--chi", "nan", "--n", "10", "--delta", "0.1"],
+        ["--bound", "accuracy", "--gap", "nan", "--n", "10", "--delta", "0.1"],
+        [
+            "--bound", "regularization", "--alpha", "nan", "--entropy", "2",
+            "--kl", "0.5", "--n", "100", "--delta", "0.05",
+        ],
+        [
+            "--bound", "sample-count", "--mean-pretrain-coh", "nan",
+            "--mean-posttrain-coh", "-0.5", "--pretrain-error", "0.1",
+            "--pretrain-count", "20",
+        ],
+    ],
+)
+def test_bounds_reject_nan_inputs(runner, tmp_path, flags):
+    result = runner.invoke(main, ["bounds", *flags, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+    assert not (tmp_path / "bound.json").exists()
+
+
+def test_csv_outputs_round_trip_names_with_commas_and_quotes(runner, tmp_path):
+    payload = json.loads(DEMO_SMOOTHED.read_text())
+    burger, fries = payload["partition"]["contexts"]
+    burger["behaviors"] = ['"mayo"', "mayo, burger", "burger_other"]
+    fries["name"] = 'fries, "large"'
+    payload["ground_truth"][0] = '"mayo"'
+    names = {c["name"] for c in (burger, fries)}
+    behaviors = set(burger["behaviors"]) | set(fries["behaviors"])
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(payload))
+    runs = {
+        "xbeta.csv": ["enumerate", str(path)],
+        "trajectory.csv": ["run", str(path), "--steps", "40", "--seed", "1"],
+        "bootstrap.csv": ["run", str(path), "--method", "bootstrap"],
+    }
+    for filename, args in runs.items():
+        out = tmp_path / filename
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        header, *rows = csv.reader(_read_rows(out / filename))
+        assert rows and all(len(row) == len(header) for row in rows), rows
+        for row in rows:
+            cells = dict(zip(header, row))
+            if "policy" in cells:
+                assert set(cells["policy"].split("|")) <= behaviors
+            if "behavior" in cells:
+                assert cells["behavior"] in behaviors
+                assert cells["context"] in names
+            if cells.get("changed"):
+                assert set(cells["changed"].split("|")) <= names

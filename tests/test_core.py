@@ -1,7 +1,8 @@
 """The inference core: closed-form coherence against the step-by-step oracle,
 normalized enumeration, the cap contract of every exhaustive entry point,
-the scale-free infinite-beta tie rule, rejection of non-finite systems, and
-the policy-table builders against index-by-index references."""
+the scale-free infinite-beta tie rule, rejection of non-finite systems and
+of NaN inverse temperatures, and the policy-table builders against
+index-by-index references."""
 
 from __future__ import annotations
 
@@ -16,13 +17,16 @@ from cohopt import (
     DPolicy,
     EnumerationCapError,
     MixtureBayesSystem,
+    PolicyDistribution,
     PolicyState,
+    SamplerConfig,
     ValidationError,
     bootstrap_exact_distribution,
     coherence,
     enumerate_policy_masses,
     exact_conditional_distribution,
     from_joint_table,
+    generate_scenario,
     generic_partition,
     random_mixture_system,
     sequence_coherence,
@@ -161,6 +165,44 @@ class TestNonFiniteInputs:
         table[2, 2] = bad
         with pytest.raises(ValidationError):
             from_joint_table(condiments_partition(), table)
+
+
+class TestInverseTemperature:
+    """Every entry point that takes a beta rejects NaN as it rejects zero and
+    negative values (a `beta <= 0` test lets NaN through)."""
+
+    ENTRY_POINTS = {
+        "temper": lambda beta: temper(np.array([0.25, 0.75]), beta),
+        "softmax_over_coherence": lambda beta: softmax_over_coherence(
+            from_joint_table(condiments_partition(), condiments_table(0.01)),
+            beta,
+        ),
+        "exact_conditional_distribution": lambda beta: (
+            exact_conditional_distribution(
+                from_joint_table(condiments_partition(), condiments_table(0.01)),
+                beta,
+            )
+        ),
+        "SamplerConfig": lambda beta: SamplerConfig(beta=beta),
+        "generate_scenario": lambda beta: generate_scenario(
+            3, 2, 2, seed=0, truth_beta=beta
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("beta", [math.nan, 0.0, -1.0])
+    def test_rejected(self, entry, beta):
+        with pytest.raises(ValidationError, match="must be positive"):
+            self.ENTRY_POINTS[entry](beta)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_infinite_beta_accepted(self, entry):
+        self.ENTRY_POINTS[entry](math.inf)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_policy_distribution_rejects_non_finite_masses(self, bad):
+        with pytest.raises(ValidationError):
+            PolicyDistribution(np.array([bad, 0.5, 0.5]))
 
 
 # --- index-by-index references for the policy-table builders --------------

@@ -176,6 +176,12 @@ def _reject_nan(**values: float) -> None:
             raise ValidationError(f"{name} must not be NaN")
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 def _gap(chi):
     """-2·chi + log2 e, the optimality gap of coherence chi (float or array)."""
     return -2.0 * chi + LOG2_E
@@ -384,10 +390,11 @@ def regularization_bound_rhs(
 
     Strictly decreasing in KL for fixed other inputs (the vanishing remainder
     term is dropped). delta = 1 is rejected: the formula divides by
-    log2(1/delta).
+    log2(1/delta). alphaQ and H must be finite; KL may be +inf.
     """
     _check_count(N)
-    _reject_nan(alphaQ=alphaQ, H=H, KL=KL)
+    _require_finite(alphaQ=alphaQ, H=H)
+    _reject_nan(KL=KL)
     log_term = _log_delta_term(delta)
     if log_term == 0.0:
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
@@ -414,7 +421,7 @@ def conjectured_posttrain_count(
     the posttrain mean itself depends on the chosen budget, so treat the
     value as a one-shot evaluation, not a solved fixed point.
     """
-    _reject_nan(
+    _require_finite(
         mean_pretrain_coh=mean_pretrain_coh,
         mean_posttrain_coh=mean_posttrain_coh,
     )

@@ -85,10 +85,6 @@ def _out_dir(out: str | None) -> Path:
     return path
 
 
-def _echo_config(out: Path, payload: dict) -> None:
-    write_json(out / "config.json", payload)
-
-
 @click.group()
 def main() -> None:
     """Coherence optimization over deterministic policies."""
@@ -126,12 +122,12 @@ def cmd_enumerate(scenario: str, beta: float, cap: int, out: str | None) -> None
     table = write_distribution_csv(
         out_path / "xbeta.csv", data.partition, distribution, data.system
     )
-    _echo_config(
-        out_path,
+    write_json(
+        out_path / "config.json",
         {
             "command": "enumerate",
             "scenario": str(scenario),
-            "beta": "inf" if math.isinf(beta) else beta,
+            "beta": beta,
             "cap": cap,
         },
     )
@@ -146,7 +142,6 @@ def cmd_enumerate(scenario: str, beta: float, cap: int, out: str | None) -> None
 @click.option("--beta", default="1", callback=_parse_beta)
 @click.option("--gamma", default=0.85, show_default=True, help="Retained fraction (tf-gibbs).")
 @click.option("--anchor-weight", default=0.0, show_default=True, help="Round-0 anchor mixture weight (tf-gibbs).")
-@click.option("--burn-in", default=0, show_default=True)
 @click.option("--initial", default=None, help="Comma-separated behavior names for the starting policy (default: first behavior of every context).")
 @click.option("--order", default="random", help="Bootstrap visiting order: 'random' or comma-separated context names.")
 @click.option("--icm-iters", default=50, show_default=True)
@@ -161,7 +156,6 @@ def cmd_run(
     beta: float,
     gamma: float,
     anchor_weight: float,
-    burn_in: int,
     initial: str | None,
     order: str,
     icm_iters: int,
@@ -177,7 +171,6 @@ def cmd_run(
         seed=seed,
         gamma=gamma,
         anchor_weight=anchor_weight,
-        burn_in=burn_in,
     )
     if initial is not None:
         start = partition.policy_from_names(
@@ -186,8 +179,8 @@ def cmd_run(
     else:
         start = partition.policy_at(0)
     out_path = _out_dir(out)
-    _echo_config(
-        out_path,
+    write_json(
+        out_path / "config.json",
         {
             "command": "run",
             "scenario": str(scenario),
@@ -318,11 +311,14 @@ def cmd_bounds(
             need(n, "n"),
             need(delta, "delta"),
         )
+        valid = 0.0 <= value <= 1.0  # the accuracy floor's range
         report = {
             "kind": "regularization-rhs",
             "value": value,
-            "valid": True,
-            "note": "asymptotic form: vanishing remainder dropped",
+            "valid": valid,
+            "note": "asymptotic form: vanishing remainder dropped"
+            if valid
+            else "vacuous: bound outside [0, 1]",
             "inputs": {
                 "alpha": alpha,
                 "entropy": entropy,
@@ -341,7 +337,7 @@ def cmd_bounds(
         report = {
             "kind": "posttrain-count",
             "value": value,
-            "valid": True,
+            "valid": math.isfinite(value),
             "note": "conjectural recommendation, not a guarantee",
             "inputs": {
                 "mean_pretrain_coh": mean_pretrain_coh,
@@ -352,7 +348,7 @@ def cmd_bounds(
         }
     out_path = _out_dir(out)
     write_json(out_path / "bound.json", report)
-    _echo_config(out_path, {"command": "bounds", "report_inputs": report["inputs"], "bound": bound_kind, "sign": sign})
+    write_json(out_path / "config.json", {"command": "bounds", "report_inputs": report["inputs"], "bound": bound_kind, "sign": sign})
     click.echo(f"{report['kind']}: value={report['value']!r} valid={report['valid']}")
 
 
@@ -403,8 +399,8 @@ def cmd_mc(trials: int, seed: int, n_train: int, delta: float, out: str | None) 
             "note": "paper sign reported, not asserted",
         },
     )
-    _echo_config(
-        out_path,
+    write_json(
+        out_path / "config.json",
         {
             "command": "mc",
             "trials": trials,
@@ -472,8 +468,8 @@ def cmd_equiv(
             "argmin_gap": study.argmin_gap(),
         },
     )
-    _echo_config(
-        out_path,
+    write_json(
+        out_path / "config.json",
         {
             "command": "equiv",
             "lattice": points,
@@ -482,7 +478,7 @@ def cmd_equiv(
             "context_size": context_size,
             "n_latents": n_latents,
             "emission_concentration": emission_concentration,
-            "truth_beta": "inf" if math.isinf(truth_beta) else truth_beta,
+            "truth_beta": truth_beta,
             "delta": delta,
         },
     )

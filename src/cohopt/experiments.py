@@ -24,7 +24,7 @@ from .analysis import (
     srm_select,
     uniform_convergence_bound,
 )
-from .coherence import coherence, sequence_coherence
+from .coherence import _residual, coherence, sequence_coherence
 from .errors import ValidationError
 from .samplers import (
     SamplerConfig,
@@ -278,10 +278,6 @@ def run_semi_supervised(
     chi_pre = sequence_coherence(
         system, PolicyState.zero(), list(scenario.labels)
     ).bits
-    if -math.inf in (chi_quotient, chi_pre, chi_full):
-        residual = 0.0 if (chi_quotient + chi_pre == chi_full) else math.nan
-    else:
-        residual = abs(chi_quotient + chi_pre - chi_full)
     n_labels = max(len(scenario.supervised), 1)
 
     return SemiSupervisedReport(
@@ -295,7 +291,7 @@ def run_semi_supervised(
         chi_quotient_bits=chi_quotient,
         chi_full_bits=chi_full,
         f_mp_bits=mutual_predictability(system, combined),
-        decomposition_residual=residual,
+        decomposition_residual=_residual([chi_quotient, chi_pre], chi_full),
         gap_bound=uniform_convergence_bound(
             min(chi_full, 0.0), n_labels, delta
         ),

@@ -69,17 +69,23 @@ def write_text(path: str | Path, text: str) -> Path:
     return path
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value)}")
+def _strict(value):
+    """value with every non-finite float spelled the way strict JSON
+    accepts: +inf as "inf", -inf as "-inf", NaN as null."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_strict(item) for item in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
 
 
 def write_json(path: str | Path, payload: dict) -> Path:
     text = json.dumps(
-        payload, indent=2, sort_keys=True, default=_json_default
+        _strict(payload), indent=2, sort_keys=True, allow_nan=False
     )
     return write_text(path, text + "\n")
 
@@ -286,18 +292,15 @@ def write_distribution_csv(
     path: str | Path,
     partition: ContextPartition,
     distribution: PolicyDistribution,
-    system: MixtureBayesSystem | None = None,
+    system: MixtureBayesSystem,
 ) -> Path:
     """One row per d-policy: behavior names joined by '|', mass, coherence in
     bits; sorted by descending mass then lexicographic policy.
 
-    Coherence comes from one enumeration of the system's policy masses, and
-    is nan when no system is given.
+    Coherence comes from one enumeration of the system's policy masses.
     """
-    chis = np.full(len(distribution), math.nan)
-    if system is not None:
-        with np.errstate(divide="ignore"):
-            chis = np.log2(Conditioned(system).masses(cap=len(distribution)))
+    with np.errstate(divide="ignore"):
+        chis = np.log2(Conditioned(system).masses(cap=len(distribution)))
     labels = ("|".join(n) for n in itertools.product(*partition.behaviors))
     rows = sorted(
         zip(labels, distribution.masses.tolist(), chis.tolist(), strict=True),
@@ -314,7 +317,7 @@ def write_distribution_csv(
 
 
 def _metadata_lines(kind: str, record_meta: dict) -> list[str]:
-    payload = json.dumps(record_meta, sort_keys=True, default=_json_default)
+    payload = json.dumps(_strict(record_meta), sort_keys=True, allow_nan=False)
     return [f"# kind={kind}", f"# meta={payload}"]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +80,7 @@ class SamplerConfig:
 
     def to_dict(self) -> dict:
         return {
-            "beta": "inf" if math.isinf(self.beta) else float(self.beta),
+            "beta": float(self.beta),
             "steps": int(self.steps),
             "seed": int(self.seed),
             "gamma": float(self.gamma),
@@ -90,11 +90,8 @@ class SamplerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SamplerConfig":
-        beta = data.get("beta", 1.0)
-        if isinstance(beta, str):
-            beta = float(beta)
         return cls(
-            beta=beta,
+            beta=float(data.get("beta", 1.0)),  # reads "inf" as well
             steps=int(data.get("steps", 1000)),
             seed=int(data.get("seed", 0)),
             gamma=float(data.get("gamma", 0.85)),
@@ -157,16 +154,48 @@ def _draw(weights: np.ndarray, u: float) -> int:
     return idx
 
 
-def _warn_if_not_positive(core: Conditioned, beta: float) -> None:
-    if math.isinf(beta) or math.prod(core.sizes) > DEFAULT_ENUMERATION_CAP:
-        return
-    if np.any(core.masses() <= 0.0):
+def _tempered_draw(p: np.ndarray, beta: float, rng: np.random.Generator) -> int:
+    return _draw(_tempered_weights(p, beta), float(rng.random()))
+
+
+def _start_chain(
+    system: MixtureBayesSystem,
+    config: SamplerConfig,
+    prior: PolicyState | None,
+    contexts: Sequence[int] | None,
+    check_positivity: bool,
+    start: Callable[[Conditioned, np.random.Generator], np.ndarray],
+) -> tuple[Conditioned, np.random.Generator, np.ndarray, np.ndarray]:
+    """Set-up shared by the Markov chains: the conditioned core, the seeded
+    generator, the round-0 assignment start(core, rng), the positivity
+    warning, and the trajectory and coherence arrays with row 0 filled."""
+    core = Conditioned(system, prior, contexts)
+    rng = np.random.default_rng(config.seed)
+    assignment = start(core, rng)
+    if (
+        check_positivity
+        and not math.isinf(config.beta)
+        and math.prod(core.sizes) <= DEFAULT_ENUMERATION_CAP
+        and np.any(core.masses() <= 0.0)
+    ):
         warnings.warn(
             "positivity check failed: some policies have zero mass; the chain "
             "may absorb and the stationary-distribution guarantee is void",
             PositivityWarning,
             stacklevel=3,
         )
+    trajectory = np.empty((config.steps + 1, len(core.contexts)), dtype=np.int64)
+    coherence_bits = np.empty(config.steps + 1)
+    trajectory[0] = assignment
+    coherence_bits[0] = core.coherence_bits(assignment)
+    return core, rng, trajectory, coherence_bits
+
+
+def _record(kind, core, config, trajectory, coherence_bits, moves) -> RunRecord:
+    return RunRecord(
+        kind, core.contexts, core.sizes, trajectory, coherence_bits, moves,
+        config, dict(core.prior.counts),
+    )
 
 
 def gibbs_run(
@@ -183,19 +212,13 @@ def gibbs_run(
 
     Reproducible per seed; each step changes at most one coordinate.
     """
-    core = Conditioned(system, prior, contexts)
-    if check_positivity:
-        _warn_if_not_positive(core, config.beta)
-    assignment = core.validate(initial)
-    k = len(core.contexts)
-    rng = np.random.default_rng(config.seed)
-    picks = rng.integers(0, k, size=config.steps)
+    core, rng, trajectory, coherence_bits = _start_chain(
+        system, config, prior, contexts, check_positivity,
+        lambda core, rng: core.validate(initial),
+    )
+    assignment = trajectory[0].copy()
+    picks = rng.integers(0, len(core.contexts), size=config.steps)
     uniforms = rng.random(config.steps)
-
-    trajectory = np.empty((config.steps + 1, k), dtype=np.int64)
-    coherence_bits = np.empty(config.steps + 1)
-    trajectory[0] = assignment
-    coherence_bits[0] = core.coherence_bits(assignment)
 
     for t in range(config.steps):
         j = int(picks[t])
@@ -207,15 +230,8 @@ def gibbs_run(
             top + math.log(float(p[a_new])) - core.log_prior_ml
         ) / LN2
 
-    return RunRecord(
-        kind="gibbs",
-        contexts=core.contexts,
-        sizes=core.sizes,
-        trajectory=trajectory,
-        coherence_bits=coherence_bits,
-        moves=picks[:, None],
-        config=config,
-        prior_counts=dict(core.prior.counts),
+    return _record(
+        "gibbs", core, config, trajectory, coherence_bits, picks[:, None]
     )
 
 
@@ -236,69 +252,39 @@ def training_friendly_gibbs_run(
     (1−anchor_weight)·σ^β(current retained state); 0.5 is the equal-weight
     anchor rule, 0 the pure block sampler.
     """
-    core = Conditioned(system, prior, contexts)
-    if check_positivity:
-        _warn_if_not_positive(core, config.beta)
-    assignment = core.validate(initial)
+    core, rng, trajectory, coherence_bits = _start_chain(
+        system, config, prior, contexts, check_positivity,
+        lambda core, rng: core.validate(initial),
+    )
+    assignment = trajectory[0].copy()
     k = len(core.contexts)
     keep = int(math.floor(config.gamma * k))
     if keep < 1:
         raise ValidationError(
             f"floor(gamma·{k}) = {keep}; the retained subset must be non-empty"
         )
-    rng = np.random.default_rng(config.seed)
     lam = config.anchor_weight
-
-    trajectory = np.empty((config.steps + 1, k), dtype=np.int64)
-    coherence_bits = np.empty(config.steps + 1)
-    trajectory[0] = assignment
-    coherence_bits[0] = core.coherence_bits(assignment)
     moves = np.empty((config.steps, k - keep), dtype=np.int64)
-    anchor_p: list[np.ndarray] | None = None
+    anchor_p: list[np.ndarray] = []
 
     for t in range(config.steps):
-        kept = rng.permutation(k)[:keep]
-        kept_set = set(int(j) for j in kept)
-        numerators = core.base.copy()
-        for j in kept_set:
-            numerators += core.log_emissions[j][:, assignment[j]]
-        top = float(numerators.max())
-        if top == -math.inf:
-            raise DegenerateConditioningError(
-                f"degenerate conditioning at round {t}: retained state has "
-                "zero likelihood"
-            )
-        weights = np.exp(numerators - top)
+        kept = set(rng.permutation(k)[:keep].tolist())
+        resampled = tuple(j for j in range(k) if j not in kept)
+        weights, _ = core.posterior_weights(
+            core.numerators(assignment, skip=resampled)
+        )
         if t == 0 and lam > 0.0:
             # round-0 retained state is the anchor for all later rounds
             anchor_p = [weights @ core.emissions[j] for j in range(k)]
-        resampled = tuple(j for j in range(k) if j not in kept_set)
         for j in resampled:
-            use_anchor = False
-            if lam > 0.0:
-                use_anchor = lam >= 1.0 or rng.random() < lam
-            if use_anchor:
-                assert anchor_p is not None
-                p = anchor_p[j]
-            else:
-                p = weights @ core.emissions[j]
-            assignment[j] = _draw(
-                _tempered_weights(p, config.beta), float(rng.random())
-            )
+            use_anchor = lam > 0.0 and (lam >= 1.0 or rng.random() < lam)
+            p = anchor_p[j] if use_anchor else weights @ core.emissions[j]
+            assignment[j] = _tempered_draw(p, config.beta, rng)
         trajectory[t + 1] = assignment
         coherence_bits[t + 1] = core.coherence_bits(assignment)
         moves[t] = resampled
 
-    return RunRecord(
-        kind="tf-gibbs",
-        contexts=core.contexts,
-        sizes=core.sizes,
-        trajectory=trajectory,
-        coherence_bits=coherence_bits,
-        moves=moves,
-        config=config,
-        prior_counts=dict(core.prior.counts),
-    )
+    return _record("tf-gibbs", core, config, trajectory, coherence_bits, moves)
 
 
 def debate_run(
@@ -313,45 +299,40 @@ def debate_run(
     to the first's previous behavior, then the first responds to that fresh
     reply. Requires exactly two covered contexts.
     """
-    core = Conditioned(system, prior, contexts)
-    if len(core.contexts) != 2:
-        raise ValidationError(
-            f"debate needs exactly 2 contexts, got {len(core.contexts)}"
-        )
-    if check_positivity:
-        _warn_if_not_positive(core, config.beta)
-    rng = np.random.default_rng(config.seed)
-    state = np.zeros(2, dtype=np.int64)  # (pro, con)
 
-    def respond(position: int, p: np.ndarray) -> None:
-        state[position] = _draw(
-            _tempered_weights(p, config.beta), float(rng.random())
-        )
+    def opening(core: Conditioned, rng: np.random.Generator) -> np.ndarray:
+        if len(core.contexts) != 2:
+            raise ValidationError(
+                f"debate needs exactly 2 contexts, got {len(core.contexts)}"
+            )
+        state = np.zeros(2, dtype=np.int64)  # (pro, con)
+        p = core.predictive(core.base, 0)[0]
+        state[0] = _tempered_draw(p, config.beta, rng)
+        state[1] = _tempered_draw(core.leave_one_out(state, 1)[0], config.beta, rng)
+        return state
 
-    respond(0, core.predictive(core.base, 0)[0])
-    respond(1, core.leave_one_out(state, 1)[0])
-
-    trajectory = np.empty((config.steps + 1, 2), dtype=np.int64)
-    coherence_bits = np.empty(config.steps + 1)
-    trajectory[0] = state
-    coherence_bits[0] = core.coherence_bits(trajectory[0])
-
-    for t in range(config.steps):
-        respond(1, core.leave_one_out(state, 1)[0])
-        respond(0, core.leave_one_out(state, 0)[0])
-        trajectory[t + 1] = state
-        coherence_bits[t + 1] = core.coherence_bits(trajectory[t + 1])
-
-    return RunRecord(
-        kind="debate",
-        contexts=core.contexts,
-        sizes=core.sizes,
-        trajectory=trajectory,
-        coherence_bits=coherence_bits,
-        moves=np.tile(np.arange(2, dtype=np.int64), (config.steps, 1)),
-        config=config,
-        prior_counts=dict(core.prior.counts),
+    core, rng, trajectory, coherence_bits = _start_chain(
+        system, config, prior, contexts, check_positivity, opening
     )
+    state = trajectory[0].copy()
+    for t in range(config.steps):
+        for position in (1, 0):
+            p = core.leave_one_out(state, position)[0]
+            state[position] = _tempered_draw(p, config.beta, rng)
+        trajectory[t + 1] = state
+        coherence_bits[t + 1] = core.coherence_bits(state)
+
+    moves = np.tile(np.arange(2, dtype=np.int64), (config.steps, 1))
+    return _record("debate", core, config, trajectory, coherence_bits, moves)
+
+
+def _visiting_order(context_order: Sequence[int], k: int) -> tuple[int, ...]:
+    order = tuple(int(j) for j in context_order)
+    if sorted(order) != list(range(k)):
+        raise ValidationError(
+            "context_order must visit each covered context exactly once"
+        )
+    return order
 
 
 def simple_bootstrap_run(
@@ -380,14 +361,10 @@ def simple_bootstrap_run(
             )
         order = tuple(int(j) for j in rng.permutation(k))
     else:
-        order = tuple(int(j) for j in context_order)
-        if sorted(order) != list(range(k)):
-            raise ValidationError(
-                "context_order must visit each covered context exactly once"
-            )
+        order = _visiting_order(context_order, k)
 
     assignment = np.zeros(k, dtype=np.int64)
-    numerators = core.base.copy()
+    numerators = core.base
     trace: list[float] = []
     log2_mass = 0.0
     for j in order:
@@ -398,7 +375,7 @@ def simple_bootstrap_run(
         trace.append(step_prob)
         log2_mass += math.log2(step_prob) if step_prob > 0 else -math.inf
         assignment[j] = a
-        numerators = numerators + core.log_emissions[j][:, a]
+        numerators = core.extend(numerators, j, a)
 
     return BootstrapResult(
         policy=DPolicy(tuple(int(a) for a in assignment)),
@@ -425,11 +402,7 @@ def bootstrap_exact_distribution(
     numerators held for one path's pending siblings only."""
     core = Conditioned(system, prior, contexts)
     k = len(core.contexts)
-    order = tuple(int(j) for j in context_order)
-    if sorted(order) != list(range(k)):
-        raise ValidationError(
-            "context_order must visit each covered context exactly once"
-        )
+    order = _visiting_order(context_order, k)
     _check_cap(math.prod(core.sizes), cap)
     if k == 0:  # the empty assignment is the only outcome
         return PolicyDistribution(masses=np.ones(1), provenance="custom", sizes=())
@@ -445,7 +418,7 @@ def bootstrap_exact_distribution(
             masses[index : index + sizes[level]] = mass * steps
             continue
         for a in np.flatnonzero(steps):
-            child = numerators + core.log_emissions[j][:, a]
+            child = core.extend(numerators, j, a)
             stack.append((level + 1, child, mass * steps[a], index + a))
     masses = masses.reshape(sizes).transpose(np.argsort(order)).ravel()
     return PolicyDistribution(

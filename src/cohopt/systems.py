@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -617,7 +617,10 @@ class Conditioned:
     all contexts); an assignment holds one local behavior index per position.
     Log numerators are the natural-log prior × likelihood per latent, and the
     marginal likelihood ML of a state is their sum in linear space. Coherence
-    is then closed form: log2 ML(prior + policy) − log2 ML(prior).
+    is then closed form: log2 ML(prior + policy) − log2 ML(prior). Every
+    operation on log numerators lives here: building them, growing a prefix
+    by one position, max-shifting and exponentiating them, and the
+    degeneracy check; the samplers only draw from what these return.
     """
 
     def __init__(
@@ -668,36 +671,53 @@ class Conditioned:
         return np.array(policy.assignment, dtype=np.int64)
 
     def numerators(
-        self, assignment: Sequence[int], skip: int | None = None
+        self, assignment: Sequence[int], skip: Collection[int] = ()
     ) -> np.ndarray:
-        """Log numerators of the prior plus every position but ``skip``."""
+        """Log numerators of the prior plus every position not in ``skip``,
+        added in position order."""
         out = self.base.copy()
         for j in range(len(self.contexts)):
-            if j != skip:
+            if j not in skip:
                 out += self.log_emissions[j][:, assignment[j]]
         return out
+
+    def extend(
+        self, log_numerators: np.ndarray, position: int, behavior: int
+    ) -> np.ndarray:
+        """Log numerators of a visited prefix grown by one more position."""
+        return log_numerators + self.log_emissions[position][:, behavior]
+
+    def posterior_weights(
+        self, log_numerators: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """Posterior weights exp(n - top) per latent, max-shifted so the
+        largest is 1, and the shift top. Raises DegenerateConditioningError
+        when every latent has zero likelihood."""
+        top = float(log_numerators.max())
+        if top == -math.inf:
+            raise DegenerateConditioningError(
+                "degenerate conditioning: every latent has zero likelihood "
+                "for the conditioning state"
+            )
+        return np.exp(log_numerators - top), top
 
     def predictive(
         self, log_numerators: np.ndarray, position: int
     ) -> tuple[np.ndarray, float]:
         """Unnormalized predictive masses p at one position, and their log
         scale: exp(scale) · p[a] is the marginal likelihood of the state
-        plus behavior a. Raises DegenerateConditioningError when the state
-        has zero likelihood."""
-        top = float(log_numerators.max())
-        if top == -math.inf:
-            raise DegenerateConditioningError(
-                "degenerate conditioning: every latent has zero likelihood "
-                f"for the state that conditions position {position}"
-            )
-        return np.exp(log_numerators - top) @ self.emissions[position], top
+        plus behavior a."""
+        weights, top = self.posterior_weights(log_numerators)
+        return weights @ self.emissions[position], top
 
     def leave_one_out(
         self, assignment: Sequence[int], position: int
     ) -> tuple[np.ndarray, float]:
         """predictive() at one position given the prior and every other
         position of the assignment."""
-        return self.predictive(self.numerators(assignment, skip=position), position)
+        return self.predictive(
+            self.numerators(assignment, skip=(position,)), position
+        )
 
     def coherence_bits(self, assignment: Sequence[int]) -> float:
         """Coherence of a full sub-policy relative to the prior; -inf when
@@ -711,10 +731,7 @@ class Conditioned:
         """Conditional mass of every sub-policy given the prior, in
         mixed-radix index order (position 0 most significant); sums to 1."""
         masses = _enumerate_masses(
-            np.exp(self.base - float(self.base.max())),
-            self.emissions,
-            self.sizes,
-            cap,
+            self.posterior_weights(self.base)[0], self.emissions, self.sizes, cap
         )
         total = masses.sum()
         if total <= 0.0:

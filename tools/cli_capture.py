@@ -1,0 +1,127 @@
+"""Run a fixed list of cohopt commands and keep everything they write.
+
+    python3 tools/cli_capture.py OUT [--src SRC]
+
+Each command runs in-process against the cohopt package under SRC (default:
+the src/ directory next to this script) and writes into its own
+subdirectory of OUT: the files the command writes, plus `stdout.txt` with the
+exit code, stdout, stderr and each warning raised (its category, the file
+it points at and its message), where the output directory is replaced by
+`<out>`. The scenario path in every `config.json` is cut down to the file
+name, so two captures taken from two checkouts (say, a change and its parent)
+compare byte for byte with
+
+    diff -r OUT_PARENT OUT_CHANGE
+
+The scenarios are the two under demos/scenarios/ next to this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "demos" / "scenarios"
+SCENARIOS = {
+    "condiments": SCENARIO_DIR / "condiments.json",
+    "smoothed": SCENARIO_DIR / "condiments_smoothed.json",
+}
+POLICIES = (
+    "burger_mayo,fries_mayo",
+    "burger_mustard,fries_ketchup",
+    "burger_other,fries_mayo",
+)
+BOUNDS = {
+    "uniform": ["--bound", "uniform", "--chi", "-1.7369656", "--n", "100", "--delta", "0.05"],
+    "uniform-paper": ["--bound", "uniform", "--chi", "-3", "--n", "20", "--delta", "0.1", "--sign", "paper"],
+    "accuracy": ["--bound", "accuracy", "--gap", "2", "--n", "100", "--delta", "0.05"],
+    "regularization": ["--bound", "regularization", "--alpha", "0.8", "--entropy", "3", "--kl", "1", "--n", "100", "--delta", "0.05"],
+    "sample-count": [
+        "--bound", "sample-count", "--mean-pretrain-coh", "-2", "--mean-posttrain-coh", "-1",
+        "--pretrain-error", "0.1", "--pretrain-count", "10",
+    ],
+    # non-finite values: these outputs change where bare NaN/Infinity were written
+    "accuracy-nan": ["--bound", "accuracy", "--gap", "2", "--n", "10", "--delta", "0.1", "--sign", "paper"],
+    "uniform-inf": ["--bound", "uniform", "--chi", "-inf", "--n", "10", "--delta", "0.1"],
+}
+
+
+def commands() -> list[tuple[str, list[str], bool]]:
+    """(name, arguments, writes into --out) for every captured command."""
+    out: list[tuple[str, list[str], bool]] = []
+    for tag, path in SCENARIOS.items():
+        scenario = str(path)
+        for method in ("gibbs", "tf-gibbs", "debate", "bootstrap", "icm"):
+            out.append((f"{tag}-run-{method}", ["run", scenario, "--method", method, "--steps", "400", "--seed", "3"], True))
+        for weight in ("0.5", "1"):
+            out.append((
+                f"{tag}-run-tf-gibbs-anchor{weight}",
+                ["run", scenario, "--method", "tf-gibbs", "--steps", "300", "--seed", "5", "--anchor-weight", weight],
+                True,
+            ))
+        for method in ("gibbs", "bootstrap"):
+            out.append((
+                f"{tag}-run-{method}-beta-inf",
+                ["run", scenario, "--method", method, "--steps", "200", "--seed", "2", "--beta", "inf"],
+                True,
+            ))
+        out.append((
+            f"{tag}-run-bootstrap-order",
+            ["run", scenario, "--method", "bootstrap", "--seed", "4", "--order", "fries,burger"],
+            True,
+        ))
+        for beta in ("0.5", "1", "inf"):
+            out.append((f"{tag}-enumerate-beta-{beta}", ["enumerate", scenario, "--beta", beta], True))
+        for n, policy in enumerate(POLICIES):
+            out.append((f"{tag}-coherence-{n}", ["coherence", scenario, "--policy", policy], False))
+    out.append(("equiv", ["equiv", "--lattice", "0,1,2,3", "--n-seeds", "2", "--n-contexts", "4"], True))
+    out.append((
+        "equiv-truth-beta-inf",
+        ["equiv", "--lattice", "0,1,2,3", "--n-seeds", "2", "--n-contexts", "4", "--truth-beta", "inf"],
+        True,
+    ))
+    out.append(("mc", ["mc", "--trials", "200", "--seed", "1"], True))
+    out.append(("check", ["check", "--cases", "20"], False))
+    for name, args in BOUNDS.items():
+        out.append((f"bounds-{name}", ["bounds", *args], True))
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    cli = importlib.import_module("cohopt.cli")
+    if not Path(cli.__file__).resolve().is_relative_to(args.src.resolve()):
+        raise SystemExit(f"imported cohopt from {cli.__file__}, not from {args.src}")
+    from click.testing import CliRunner
+
+    runner = CliRunner()
+    for name, argv, writes in commands():
+        directory = args.out / name
+        directory.mkdir(parents=True, exist_ok=True)
+        if writes:
+            argv = [*argv, "--out", str(directory)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(cli.main, argv)
+        if result.exception is not None and not isinstance(result.exception, SystemExit):
+            raise SystemExit(f"{name}: {result.exception!r}")
+        text = f"exit={result.exit_code}\n{result.stdout}{result.stderr}"
+        for w in caught:  # where a warning points, without the line number
+            text += f"{w.category.__name__} in {Path(w.filename).name}: {w.message}\n"
+        (directory / "stdout.txt").write_text(text.replace(str(directory), "<out>"))
+        config = directory / "config.json"
+        if config.is_file():
+            config.write_text(config.read_text().replace(f"{SCENARIO_DIR}/", ""))
+        print(f"{name}: exit {result.exit_code}")
+
+
+if __name__ == "__main__":
+    main()

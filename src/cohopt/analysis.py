@@ -432,9 +432,13 @@ def conjectured_posttrain_count(
     _check_count(pretrain_count, "pretrain_count")
     if mean_posttrain_coh == 0.0:
         raise ValidationError("mean_posttrain_coh must be nonzero")
+    try:
+        square = mean_pretrain_coh**2
+    except OverflowError:  # a finite mean past 1.3e154 squares past the floats
+        square = math.inf
     return (
         0.25
-        * (mean_pretrain_coh**2 / abs(mean_posttrain_coh))
+        * (square / abs(mean_posttrain_coh))
         * (1.0 / (1.0 - pretrain_error)) ** 2
         * pretrain_count
     )

@@ -10,6 +10,7 @@ seeded runs may execute concurrently.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from collections.abc import Callable, Sequence
@@ -146,9 +147,15 @@ class BootstrapResult:
 def _draw(weights: np.ndarray, u: float) -> int:
     """Inverse-CDF draw from unnormalized weights with one uniform; never
     lands on a zero weight."""
-    cum = np.cumsum(weights)
-    idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    idx = min(idx, weights.size - 1)
+    return _draw_cumulative(np.cumsum(weights).tolist(), weights.tolist(), u)
+
+
+def _draw_cumulative(cum: list[float], weights: list[float], u: float) -> int:
+    """_draw given cum = np.cumsum(weights), both as lists, so a kept draw
+    table is reused. bisect_right on the list finds what searchsorted with
+    side="right" finds, by the same float comparisons, in a fraction of the
+    time on the few entries of one conditional."""
+    idx = min(bisect.bisect_right(cum, u * cum[-1]), len(weights) - 1)
     while weights[idx] == 0.0 and idx > 0:
         idx -= 1
     return idx
@@ -156,6 +163,42 @@ def _draw(weights: np.ndarray, u: float) -> int:
 
 def _tempered_draw(p: np.ndarray, beta: float, rng: np.random.Generator) -> int:
     return _draw(_tempered_weights(p, beta), float(rng.random()))
+
+
+def _single_site_draws(
+    core: Conditioned, beta: float
+) -> Callable[[np.ndarray, int, float], tuple[int, float, float]]:
+    """Draw function of the single-site chains: draw(assignment, position, u)
+    resamples one position from its tempered leave-one-out conditional with
+    the uniform u and returns (behavior, p[behavior], top), p and top as
+    core.leave_one_out gives them.
+
+    Each conditional is computed once per run and kept as a draw table keyed
+    by the position and the bytes of the other coordinates, so a repeated
+    conditional costs one lookup and one bisection, and the tables number at
+    most one per step. A conditional that raises is not kept and raises
+    again on every later visit.
+    """
+    tables: dict[tuple[int, bytes], tuple[list[float], list[float], list[float], float]] = {}
+
+    def draw(
+        assignment: np.ndarray, position: int, u: float
+    ) -> tuple[int, float, float]:
+        raw = assignment.tobytes()
+        cut = position * assignment.itemsize
+        key = (position, raw[:cut] + raw[cut + assignment.itemsize :])
+        table = tables.get(key)
+        if table is None:
+            p, top = core.leave_one_out(assignment, position)
+            weights = _tempered_weights(p, beta)
+            table = tables[key] = (
+                np.cumsum(weights).tolist(), weights.tolist(), p.tolist(), top
+            )
+        cum, weights, masses, top = table
+        behavior = _draw_cumulative(cum, weights, u)
+        return behavior, masses[behavior], top
+
+    return draw
 
 
 def _start_chain(
@@ -219,16 +262,13 @@ def gibbs_run(
     assignment = trajectory[0].copy()
     picks = rng.integers(0, len(core.contexts), size=config.steps)
     uniforms = rng.random(config.steps)
+    draw = _single_site_draws(core, config.beta)
 
-    for t in range(config.steps):
-        j = int(picks[t])
-        p, top = core.leave_one_out(assignment, j)
-        a_new = _draw(_tempered_weights(p, config.beta), float(uniforms[t]))
+    for t, (j, u) in enumerate(zip(picks.tolist(), uniforms.tolist())):
+        a_new, mass, top = draw(assignment, j, u)
         assignment[j] = a_new
         trajectory[t + 1] = assignment
-        coherence_bits[t + 1] = (
-            top + math.log(float(p[a_new])) - core.log_prior_ml
-        ) / LN2
+        coherence_bits[t + 1] = (top + math.log(mass) - core.log_prior_ml) / LN2
 
     return _record(
         "gibbs", core, config, trajectory, coherence_bits, picks[:, None]
@@ -315,10 +355,10 @@ def debate_run(
         system, config, prior, contexts, check_positivity, opening
     )
     state = trajectory[0].copy()
+    draw = _single_site_draws(core, config.beta)
     for t in range(config.steps):
         for position in (1, 0):
-            p = core.leave_one_out(state, position)[0]
-            state[position] = _tempered_draw(p, config.beta, rng)
+            state[position] = draw(state, position, float(rng.random()))[0]
         trajectory[t + 1] = state
         coherence_bits[t + 1] = core.coherence_bits(state)
 

@@ -415,13 +415,13 @@ def infer(
     """
     system.partition._check_slot(context, 0)
     log_post = system.log_posterior_numerators(state)
-    top = float(log_post.max())
-    if top == -math.inf:
+    try:
+        weights, _ = Conditioned.posterior_weights(log_post)
+    except DegenerateConditioningError:
         raise DegenerateConditioningError(
             "degenerate conditioning: every latent has zero likelihood for "
             f"state {state.describe(system.partition)}"
-        )
-    weights = np.exp(log_post - top)
+        ) from None
     predictive = weights @ system.emissions(context)
     total = float(predictive.sum())
     if total <= 0.0:
@@ -621,6 +621,12 @@ class Conditioned:
     operation on log numerators lives here: building them, growing a prefix
     by one position, max-shifting and exponentiating them, and the
     degeneracy check; the samplers only draw from what these return.
+
+    numerators() reads one stacked table built here: row 0 holds the prior's
+    log numerators, the rows after it each position's log-emission column
+    per behavior, and the last row zeros. It gathers one row per position
+    into a preallocated index buffer, so a core serves one caller at a time,
+    as a run does.
     """
 
     def __init__(
@@ -642,6 +648,14 @@ class Conditioned:
         self.emissions = [system.emissions(c) for c in self.contexts]
         self.log_emissions = [system.log_emissions(c) for c in self.contexts]
         self.base = system.log_posterior_numerators(self.prior)
+        self._rows = np.concatenate(
+            [self.base[None, :], *(table.T for table in self.log_emissions),
+             np.zeros((1, system.n_latents))]
+        )
+        # position j, behavior a reads row offsets[j] + a; row 0 stays the base
+        self._offsets = np.cumsum((1, *self.sizes), dtype=np.int64)[:-1]
+        self._index = np.zeros(len(self.contexts) + 1, dtype=np.int64)
+        self._position_rows = self._index[1:]
         self.log_prior_ml = self._log_ml(self.base)
         if self.log_prior_ml == -math.inf:
             raise DegenerateConditioningError(
@@ -674,12 +688,20 @@ class Conditioned:
         self, assignment: Sequence[int], skip: Collection[int] = ()
     ) -> np.ndarray:
         """Log numerators of the prior plus every position not in ``skip``,
-        added in position order."""
-        out = self.base.copy()
-        for j in range(len(self.contexts)):
-            if j not in skip:
-                out += self.log_emissions[j][:, assignment[j]]
-        return out
+        added in position order.
+
+        One gather of stacked rows, folded by add.accumulate (np.cumsum): a
+        sequential left fold, so the sums round as a loop of adds does. A
+        skipped position reads the zero row, and x + 0.0 == x, -inf
+        included. A plain sum would not do: over one latent numpy sums
+        pairwise, and subtracting a row breaks on -inf."""
+        position_rows = self._position_rows
+        # casting: an empty assignment tuple reads as float64
+        np.add(self._offsets, assignment, out=position_rows, casting="unsafe")
+        for j in skip:
+            position_rows[j] = -1
+        rows = self._rows.take(self._index, axis=0)
+        return np.add.accumulate(rows, axis=0)[-1]
 
     def extend(
         self, log_numerators: np.ndarray, position: int, behavior: int
@@ -687,9 +709,8 @@ class Conditioned:
         """Log numerators of a visited prefix grown by one more position."""
         return log_numerators + self.log_emissions[position][:, behavior]
 
-    def posterior_weights(
-        self, log_numerators: np.ndarray
-    ) -> tuple[np.ndarray, float]:
+    @staticmethod
+    def posterior_weights(log_numerators: np.ndarray) -> tuple[np.ndarray, float]:
         """Posterior weights exp(n - top) per latent, max-shifted so the
         largest is 1, and the shift top. Raises DegenerateConditioningError
         when every latent has zero likelihood."""

@@ -717,3 +717,24 @@ def test_csv_outputs_round_trip_names_with_commas_and_quotes(runner, tmp_path):
                 assert cells["context"] in names
             if cells.get("changed"):
                 assert set(cells["changed"].split("|")) <= names
+
+
+@pytest.mark.parametrize(
+    "pretrain,posttrain", [("1e200", "-1"), ("-1e200", "-1"), ("-2", "1e-320")]
+)
+def test_sample_count_overflow_reports_invalid_infinity(
+    runner, tmp_path, pretrain, posttrain
+):
+    result = runner.invoke(
+        main,
+        [
+            "bounds", "--bound", "sample-count",
+            "--mean-pretrain-coh", pretrain, "--mean-posttrain-coh", posttrain,
+            "--pretrain-error", "0.1", "--pretrain-count", "10",
+            "--out", str(tmp_path),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert "value=inf valid=False" in result.output
+    report = json.loads((tmp_path / "bound.json").read_text())
+    assert (report["value"], report["valid"]) == ("inf", False)

@@ -374,8 +374,12 @@ class MixtureBayesSystem:
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(weights)
             self._log_emissions = tuple(np.log(arr) for arr in rows)
-            # (n_latents, n_behaviors) view keyed by global behavior index
-            self._log_emissions_global = np.log(np.hstack(rows))
+        # one row of log emissions per global behavior index, then a row of
+        # zeros (the row a skipped position reads in Conditioned.numerators)
+        self._log_emission_rows = np.concatenate(
+            [*(table.T for table in self._log_emissions), np.zeros((1, weights.size))]
+        )
+        self._log_emission_rows.setflags(write=False)
 
     @property
     def n_latents(self) -> int:
@@ -395,7 +399,7 @@ class MixtureBayesSystem:
                 raise ValidationError(
                     f"state references unknown behavior index {key}"
                 )
-            out += count * self._log_emissions_global[:, key]
+            out += count * self._log_emission_rows[key]
         return out
 
     def __repr__(self) -> str:
@@ -622,11 +626,10 @@ class Conditioned:
     by one position, max-shifting and exponentiating them, and the
     degeneracy check; the samplers only draw from what these return.
 
-    numerators() reads one stacked table built here: row 0 holds the prior's
-    log numerators, the rows after it each position's log-emission column
-    per behavior, and the last row zeros. It gathers one row per position
-    into a preallocated index buffer, so a core serves one caller at a time,
-    as a run does.
+    numerators() stacks the prior's log numerators and one log-emission row
+    per position, gathered from the system's table (one row per behavior,
+    then a zero row), in buffers preallocated here, so a core serves one
+    caller at a time, as a run does.
     """
 
     def __init__(
@@ -648,14 +651,15 @@ class Conditioned:
         self.emissions = [system.emissions(c) for c in self.contexts]
         self.log_emissions = [system.log_emissions(c) for c in self.contexts]
         self.base = system.log_posterior_numerators(self.prior)
-        self._rows = np.concatenate(
-            [self.base[None, :], *(table.T for table in self.log_emissions),
-             np.zeros((1, system.n_latents))]
+        # numerators() buffers: row 0 the base, then one gathered row per
+        # position; position j, behavior a reads system row offsets[j] + a
+        self._rows = system._log_emission_rows
+        self._offsets = np.array(
+            [partition._offsets[c] for c in self.contexts], dtype=np.int64
         )
-        # position j, behavior a reads row offsets[j] + a; row 0 stays the base
-        self._offsets = np.cumsum((1, *self.sizes), dtype=np.int64)[:-1]
-        self._index = np.zeros(len(self.contexts) + 1, dtype=np.int64)
-        self._position_rows = self._index[1:]
+        self._index = np.empty(len(self.contexts), dtype=np.int64)
+        self._stack = np.empty((len(self.contexts) + 1, system.n_latents))
+        self._stack[0] = self.base
         self.log_prior_ml = self._log_ml(self.base)
         if self.log_prior_ml == -math.inf:
             raise DegenerateConditioningError(
@@ -695,13 +699,14 @@ class Conditioned:
         skipped position reads the zero row, and x + 0.0 == x, -inf
         included. A plain sum would not do: over one latent numpy sums
         pairwise, and subtracting a row breaks on -inf."""
-        position_rows = self._position_rows
+        index = self._index
         # casting: an empty assignment tuple reads as float64
-        np.add(self._offsets, assignment, out=position_rows, casting="unsafe")
+        np.add(self._offsets, assignment, out=index, casting="unsafe")
         for j in skip:
-            position_rows[j] = -1
-        rows = self._rows.take(self._index, axis=0)
-        return np.add.accumulate(rows, axis=0)[-1]
+            index[j] = -1
+        # mode="wrap" writes straight into the buffer; -1 is the zero row
+        self._rows.take(index, axis=0, out=self._stack[1:], mode="wrap")
+        return np.add.accumulate(self._stack, axis=0)[-1]
 
     def extend(
         self, log_numerators: np.ndarray, position: int, behavior: int

@@ -165,6 +165,14 @@ def _tempered_draw(p: np.ndarray, beta: float, rng: np.random.Generator) -> int:
     return _draw(_tempered_weights(p, beta), float(rng.random()))
 
 
+# Draw tables a single-site chain keeps before it drops them all: far above
+# the 81 conditionals of a 3x3x3 chain, and about 6 MB on a 40-context
+# chain, whose states never repeat.
+_DRAW_TABLE_CAP = 4096
+# Steps whose draws gibbs_run converts to Python numbers at once.
+_STEP_BLOCK = 4096
+
+
 def _single_site_draws(
     core: Conditioned, beta: float
 ) -> Callable[[np.ndarray, int, float], tuple[int, float, float]]:
@@ -175,9 +183,12 @@ def _single_site_draws(
 
     Each conditional is computed once per run and kept as a draw table keyed
     by the position and the bytes of the other coordinates, so a repeated
-    conditional costs one lookup and one bisection, and the tables number at
-    most one per step. A conditional that raises is not kept and raises
-    again on every later visit.
+    conditional costs one lookup and one bisection. The tables are dropped
+    whenever _DRAW_TABLE_CAP of them are kept, which bounds their memory on
+    chains whose states never repeat. A conditional that raises is not kept
+    and raises again on every later visit. The chain validated its start,
+    and every draw is in range, so the conditional skips leave_one_out's
+    check.
     """
     tables: dict[tuple[int, bytes], tuple[list[float], list[float], list[float], float]] = {}
 
@@ -189,7 +200,11 @@ def _single_site_draws(
         key = (position, raw[:cut] + raw[cut + assignment.itemsize :])
         table = tables.get(key)
         if table is None:
-            p, top = core.leave_one_out(assignment, position)
+            if len(tables) >= _DRAW_TABLE_CAP:
+                tables.clear()
+            p, top = core.predictive(
+                core.numerators(assignment, skip=(position,)), position
+            )
             weights = _tempered_weights(p, beta)
             table = tables[key] = (
                 np.cumsum(weights).tolist(), weights.tolist(), p.tolist(), top
@@ -264,11 +279,18 @@ def gibbs_run(
     uniforms = rng.random(config.steps)
     draw = _single_site_draws(core, config.beta)
 
-    for t, (j, u) in enumerate(zip(picks.tolist(), uniforms.tolist())):
-        a_new, mass, top = draw(assignment, j, u)
-        assignment[j] = a_new
-        trajectory[t + 1] = assignment
-        coherence_bits[t + 1] = (top + math.log(mass) - core.log_prior_ml) / LN2
+    # the draws as Python numbers, a block of steps at a time, so that
+    # converting them adds no memory per step
+    for lo in range(0, config.steps, _STEP_BLOCK):
+        block = zip(
+            picks[lo : lo + _STEP_BLOCK].tolist(),
+            uniforms[lo : lo + _STEP_BLOCK].tolist(),
+        )
+        for t, (j, u) in enumerate(block, start=lo + 1):
+            a_new, mass, top = draw(assignment, j, u)
+            assignment[j] = a_new
+            trajectory[t] = assignment
+            coherence_bits[t] = (top + math.log(mass) - core.log_prior_ml) / LN2
 
     return _record(
         "gibbs", core, config, trajectory, coherence_bits, picks[:, None]

@@ -658,6 +658,7 @@ class Conditioned:
             [partition._offsets[c] for c in self.contexts], dtype=np.int64
         )
         self._index = np.empty(len(self.contexts), dtype=np.int64)
+        self._limits = np.array(self.sizes, dtype=np.uint64)
         self._stack = np.empty((len(self.contexts) + 1, system.n_latents))
         self._stack[0] = self.base
         self.log_prior_ml = self._log_ml(self.base)
@@ -694,6 +695,11 @@ class Conditioned:
         """Log numerators of the prior plus every position not in ``skip``,
         added in position order.
 
+        Unchecked: assignment must hold one in-range integer behavior per
+        position, as validate() returns it; coherence_bits() and
+        leave_one_out() check that first. Out of range, a behavior reads
+        another context's row instead of raising.
+
         One gather of stacked rows, folded by add.accumulate (np.cumsum): a
         sequential left fold, so the sums round as a loop of adds does. A
         skipped position reads the zero row, and x + 0.0 == x, -inf
@@ -707,6 +713,23 @@ class Conditioned:
         # mode="wrap" writes straight into the buffer; -1 is the zero row
         self._rows.take(index, axis=0, out=self._stack[1:], mode="wrap")
         return np.add.accumulate(self._stack, axis=0)[-1]
+
+    def _check(self, assignment: Sequence[int]) -> None:
+        """Raise ValidationError unless assignment holds one integer behavior
+        per position, each in range; negatives fail the unsigned compare."""
+        values = np.asarray(assignment)
+        if values.shape != self._index.shape or (
+            values.size
+            and (
+                values.dtype.kind not in "iu"
+                or np.count_nonzero(values.astype(np.uint64) < self._limits)
+                < values.size
+            )
+        ):
+            raise ValidationError(
+                f"assignment {assignment!r} does not hold one in-range "
+                f"behavior index for each of {len(self.sizes)} positions"
+            )
 
     def extend(
         self, log_numerators: np.ndarray, position: int, behavior: int
@@ -741,6 +764,7 @@ class Conditioned:
     ) -> tuple[np.ndarray, float]:
         """predictive() at one position given the prior and every other
         position of the assignment."""
+        self._check(assignment)
         return self.predictive(
             self.numerators(assignment, skip=(position,)), position
         )
@@ -748,6 +772,7 @@ class Conditioned:
     def coherence_bits(self, assignment: Sequence[int]) -> float:
         """Coherence of a full sub-policy relative to the prior; -inf when
         it has zero mass."""
+        self._check(assignment)
         value = self._log_ml(self.numerators(assignment))
         if value == -math.inf:
             return -math.inf

@@ -21,7 +21,8 @@ from cohopt import (
     random_mixture_system,
     state_of_policy,
 )
-from cohopt.errors import DegenerateConditioningError
+from cohopt import samplers
+from cohopt.errors import DegenerateConditioningError, ValidationError
 from cohopt.samplers import _single_site_draws
 from cohopt.systems import LN2, _tempered_weights
 
@@ -255,3 +256,34 @@ def test_impossible_leave_one_out_raises_on_every_call():
     with pytest.raises(DegenerateConditioningError):
         draw(state, 0, 0.5)
 
+
+
+def test_gibbs_matches_reference_when_tables_are_dropped(monkeypatch):
+    # a cap of 2 drops the tables every few misses, and blocks of 7 steps
+    # end mid-run, so both boundaries fall inside the chain
+    monkeypatch.setattr(samplers, "_DRAW_TABLE_CAP", 2)
+    monkeypatch.setattr(samplers, "_STEP_BLOCK", 7)
+    for beta in BETAS:
+        config = SamplerConfig(beta=beta, steps=400, seed=8)
+        _assert_gibbs_matches(_mixture((3, 3, 3), 2, 380), DPolicy((0, 1, 2)), config)
+        _assert_gibbs_matches(_sparse_joint_system(381), DPolicy((0, 0, 0)), config)
+    config = SamplerConfig(steps=300, seed=9)
+    record = debate_run(_mixture((3, 4), 3, 382), config, check_positivity=False)
+    trajectory, bits = _reference_debate(_mixture((3, 4), 3, 382), config)
+    assert np.array_equal(record.trajectory, trajectory)
+    assert np.array_equal(record.coherence_bits, bits)
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [(0, 3, 0), (0, 0, -1), np.array([0, 0, 9]), (0.0, 1.0, 0.0), (1,), (0, 0),
+     (0, 0, 0, 0)],
+    ids=["past-end", "negative", "array-past-end", "floats", "length-1",
+         "short", "long"],
+)
+def test_checked_entries_reject_a_bad_assignment(assignment):
+    core = Conditioned(_mixture((3, 3, 3), 2, 390))
+    with pytest.raises(ValidationError):
+        core.coherence_bits(assignment)
+    with pytest.raises(ValidationError):
+        core.leave_one_out(assignment, 0)

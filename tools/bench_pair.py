@@ -1,18 +1,17 @@
 """Benchmark a change against its parent, alternating the two checkouts.
 
-    python3 tools/bench_pair.py PARENT CHANGE --pr N [--seeds 71,72,73]
-        [--seconds 30] [--out BENCH_N.json]
+    python3 tools/bench_pair.py PARENT CHANGE --pr N [--seeds 101,...,110]
 
 PARENT and CHANGE are checkouts of the repository (say, `git clone` of the
-parent commit and of the change). For every seed and every workload listed
-in CHANGE's BENCHMARK.json, this runs that file's command (`bench/run.py`)
-once in each checkout, the parent first on even-numbered seeds and the
-change first on odd ones, so that a drift of the host falls on both sides.
-Then it runs one traced run (`--trace 1`) per workload and side on the first
-seed. Runs go one at a time.
+parent commit and of the change). For every seed (ten by default, the pairs
+a claimed gain is judged on) and every workload listed in CHANGE's
+BENCHMARK.json, this runs that file's command (`bench/run.py`) for its
+`run_seconds` once in each checkout, the parent first on even-numbered
+seeds and the change first on odd ones, so that a drift of the host falls
+on both sides. Then it runs one traced run (`--trace 1`) per workload and
+side on the first seed. Runs go one at a time.
 
-The output (default: BENCH_N.json next to this script's tools/ directory)
-holds every run's JSON result line with its detail lines, the median of
+The output, BENCH_N.json at the root of this repository, holds every run's JSON result line with its detail lines, the median of
 every end-to-end metric and detail per workload and side, the host's CPU
 count, the Python and numpy versions, and each checkout's git SHA, with
 `clean: false` when it had uncommitted changes. Exits 1 when a run was not
@@ -89,12 +88,11 @@ def main() -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--seeds", default="71,72,73")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--seeds", default=",".join(str(s) for s in range(101, 111)))
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {side: [] for side in sides}
@@ -107,7 +105,7 @@ def main() -> int:
     for side, workload, seed, trace in plan:
         print(f"{side} {workload} seed {seed} trace {trace}", file=sys.stderr)
         runs[side].append(run_once(
-            sides[side], spec["command"], workload, seed, args.seconds, trace
+            sides[side], spec["command"], workload, seed, seconds, trace
         ))
 
     report = {
@@ -116,7 +114,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "seeds": seeds,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "checkouts": {side: git_state(path) for side, path in sides.items()},
         "medians": {
             w: {side: medians([r for r in runs[side] if r["workload"] == w])
@@ -125,7 +123,7 @@ def main() -> int:
         },
         "runs": runs,
     }
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0 if all(r["result"]["correct"] for rs in runs.values() for r in rs) else 1

@@ -188,7 +188,7 @@ def _single_site_draws(
     chains whose states never repeat. A conditional that raises is not kept
     and raises again on every later visit. The chain validated its start,
     and every draw is in range, so the conditional skips leave_one_out's
-    check.
+    check, as the other chains' per-round coherence skips coherence_bits'.
     """
     tables: dict[tuple[int, bytes], tuple[list[float], list[float], list[float], float]] = {}
 
@@ -343,7 +343,7 @@ def training_friendly_gibbs_run(
             p = anchor_p[j] if use_anchor else weights @ core.emissions[j]
             assignment[j] = _tempered_draw(p, config.beta, rng)
         trajectory[t + 1] = assignment
-        coherence_bits[t + 1] = core.coherence_bits(assignment)
+        coherence_bits[t + 1] = core.coherence_from(core.numerators(assignment))
         moves[t] = resampled
 
     return _record("tf-gibbs", core, config, trajectory, coherence_bits, moves)
@@ -382,7 +382,7 @@ def debate_run(
         for position in (1, 0):
             state[position] = draw(state, position, float(rng.random()))[0]
         trajectory[t + 1] = state
-        coherence_bits[t + 1] = core.coherence_bits(state)
+        coherence_bits[t + 1] = core.coherence_from(core.numerators(state))
 
     moves = np.tile(np.arange(2, dtype=np.int64), (config.steps, 1))
     return _record("debate", core, config, trajectory, coherence_bits, moves)
@@ -507,7 +507,7 @@ def mutual_predictability(
 def _mutual_predictability(core: Conditioned, assignment: np.ndarray) -> float:
     total = 0.0
     for j in range(len(core.contexts)):
-        p, _ = core.leave_one_out(assignment, j)
+        p, _ = core.predictive(core.numerators(assignment, skip=(j,)), j)
         mass = float(p[assignment[j]]) / float(p.sum())
         if mass <= 0.0:
             return -math.inf

@@ -697,8 +697,9 @@ class Conditioned:
 
         Unchecked: assignment must hold one in-range integer behavior per
         position, as validate() returns it; coherence_bits() and
-        leave_one_out() check that first. Out of range, a behavior reads
-        another context's row instead of raising.
+        leave_one_out() check that first, and the samplers, which validate
+        their start and draw in range, call it directly. Out of range, a
+        behavior reads another context's row instead of raising.
 
         One gather of stacked rows, folded by add.accumulate (np.cumsum): a
         sequential left fold, so the sums round as a loop of adds does. A
@@ -769,14 +770,18 @@ class Conditioned:
             self.numerators(assignment, skip=(position,)), position
         )
 
-    def coherence_bits(self, assignment: Sequence[int]) -> float:
-        """Coherence of a full sub-policy relative to the prior; -inf when
-        it has zero mass."""
-        self._check(assignment)
-        value = self._log_ml(self.numerators(assignment))
+    def coherence_from(self, log_numerators: np.ndarray) -> float:
+        """Coherence, relative to the prior, of the state whose log
+        numerators these are; -inf when it has zero mass."""
+        value = self._log_ml(log_numerators)
         if value == -math.inf:
             return -math.inf
         return (value - self.log_prior_ml) / LN2
+
+    def coherence_bits(self, assignment: Sequence[int]) -> float:
+        """coherence_from() of a full sub-policy, after checking it."""
+        self._check(assignment)
+        return self.coherence_from(self.numerators(assignment))
 
     def masses(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
         """Conditional mass of every sub-policy given the prior, in

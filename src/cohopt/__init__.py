@@ -26,7 +26,6 @@ from .systems import (
     state_of_policy,
     temper,
     tempered_infer,
-    validate_policy,
 )
 from .coherence import (
     CoherenceValue,

@@ -14,6 +14,7 @@ convention used.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -166,8 +167,13 @@ def _log_delta_term(delta: float) -> float:
 
 
 def _check_count(n: int, name: str = "N") -> None:
-    if not n >= 1:
-        raise ValidationError(f"{name} must be >= 1, got {n}")
+    """Raise ValidationError unless 1 <= n <= the largest float: the formulas
+    divide by n as a float. NaN fails, and so does an int past the floats
+    (compared exactly, not converted)."""
+    if not 1 <= n <= sys.float_info.max:
+        raise ValidationError(
+            f"{name} must be >= 1 and within the float range, got {n}"
+        )
 
 
 def _reject_nan(**values: float) -> None:
@@ -176,10 +182,13 @@ def _reject_nan(**values: float) -> None:
             raise ValidationError(f"{name} must not be NaN")
 
 
-def _require_finite(**values: float) -> None:
+def _require_finite(**values: float) -> list[float]:
+    """The values as floats, so an int gives its float's bits, after raising
+    ValidationError unless each is finite, compared as _check_count does."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not -sys.float_info.max <= value <= sys.float_info.max:
             raise ValidationError(f"{name} must be finite, got {value}")
+    return [float(value) for value in values.values()]
 
 
 def _gap(chi):
@@ -327,7 +336,7 @@ def srm_select(
         pool = list(candidates)
         if not pool:
             raise ValidationError("empty candidate set")
-        chi = np.array([core.coherence_bits(core.validate(p)) for p in pool])
+        chi = np.array([core.coherence_bits(p.assignment) for p in pool])
         index = np.array([partition.policy_index(p.assignment) for p in pool])
     alpha_train = None
     if samples:
@@ -393,7 +402,7 @@ def regularization_bound_rhs(
     log2(1/delta). alphaQ and H must be finite; KL may be +inf.
     """
     _check_count(N)
-    _require_finite(alphaQ=alphaQ, H=H)
+    alphaQ, H = _require_finite(alphaQ=alphaQ, H=H)
     _reject_nan(KL=KL)
     log_term = _log_delta_term(delta)
     if log_term == 0.0:
@@ -421,7 +430,7 @@ def conjectured_posttrain_count(
     the posttrain mean itself depends on the chosen budget, so treat the
     value as a one-shot evaluation, not a solved fixed point.
     """
-    _require_finite(
+    mean_pretrain_coh, mean_posttrain_coh = _require_finite(
         mean_pretrain_coh=mean_pretrain_coh,
         mean_posttrain_coh=mean_posttrain_coh,
     )

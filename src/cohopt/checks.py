@@ -35,6 +35,9 @@ __all__ = [
     "run_all_sweeps",
 ]
 
+# shuffled visiting orders compared with the given one, per order-invariance case
+ORDER_PERMUTATIONS = 3
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -112,9 +115,9 @@ def sweep_order_invariance(
     cases: int = 100,
     seed: int = 0,
     tolerance: float = 1e-10,
-    permutations: int = 3,
 ) -> SweepResult:
-    """Coherence must not depend on the context visiting order."""
+    """Coherence must not depend on the context visiting order, checked
+    over ORDER_PERMUTATIONS shuffles per case."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -123,7 +126,7 @@ def sweep_order_invariance(
         prior = _random_state(system, rng)
         pairs = list(enumerate(policy.assignment))
         reference = sequence_coherence(system, prior, pairs).bits
-        for _ in range(permutations):
+        for _ in range(ORDER_PERMUTATIONS):
             shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
             other = sequence_coherence(system, prior, shuffled).bits
             if reference == -math.inf or other == -math.inf:

@@ -19,6 +19,7 @@ import click
 import numpy as np
 
 from .analysis import (
+    BoundReport,
     accuracy_lower_bound,
     bound_validity_trials,
     conjectured_posttrain_count,
@@ -312,21 +313,21 @@ def cmd_bounds(
             need(delta, "delta"),
         )
         valid = 0.0 <= value <= 1.0  # the accuracy floor's range
-        report = {
-            "kind": "regularization-rhs",
-            "value": value,
-            "valid": valid,
-            "note": "asymptotic form: vanishing remainder dropped"
+        report = BoundReport(
+            kind="regularization-rhs",
+            value=value,
+            valid=valid,
+            note="asymptotic form: vanishing remainder dropped"
             if valid
             else "vacuous: bound outside [0, 1]",
-            "inputs": {
+            inputs={
                 "alpha": alpha,
                 "entropy": entropy,
                 "kl": kl,
                 "N": n,
                 "delta": delta,
             },
-        }
+        ).to_dict()
     else:
         value = conjectured_posttrain_count(
             need(mean_pretrain_coh, "mean-pretrain-coh"),
@@ -334,18 +335,18 @@ def cmd_bounds(
             need(pretrain_error, "pretrain-error"),
             need(pretrain_count, "pretrain-count"),
         )
-        report = {
-            "kind": "posttrain-count",
-            "value": value,
-            "valid": math.isfinite(value),
-            "note": "conjectural recommendation, not a guarantee",
-            "inputs": {
+        report = BoundReport(
+            kind="posttrain-count",
+            value=value,
+            valid=math.isfinite(value),
+            note="conjectural recommendation, not a guarantee",
+            inputs={
                 "mean_pretrain_coh": mean_pretrain_coh,
                 "mean_posttrain_coh": mean_posttrain_coh,
                 "pretrain_error": pretrain_error,
                 "pretrain_count": pretrain_count,
             },
-        }
+        ).to_dict()
     out_path = _out_dir(out)
     write_json(out_path / "bound.json", report)
     write_json(out_path / "config.json", {"command": "bounds", "report_inputs": report["inputs"], "bound": bound_kind, "sign": sign})

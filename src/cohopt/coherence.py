@@ -27,7 +27,6 @@ from .systems import (
     check_beta,
     infer,
     temper,
-    validate_policy,
 )
 
 __all__ = [
@@ -93,9 +92,9 @@ def coherence(
     """Coherence of a full d-policy relative to a prior state, in closed
     form: log2 ML(prior + policy) − log2 ML(prior).
 
-    Raises DegenerateConditioningError when the prior has zero likelihood.
+    Raises DegenerateConditioningError when the prior has zero likelihood,
+    then ValidationError for a policy the core does not cover.
     """
-    validate_policy(system.partition, policy)
     return CoherenceValue(
         bits=Conditioned(system, prior).coherence_bits(policy.assignment)
     )
@@ -155,8 +154,8 @@ def pmi(system: MixtureBayesSystem, policy: DPolicy) -> float:
     Zero when behaviors are independent under the base state; may be -inf when
     the joint mass is zero but every marginal is positive.
     """
-    validate_policy(system.partition, policy)
     zero = PolicyState.zero()
+    joint_bits = coherence(system, zero, policy).bits
     marginal_bits = 0.0
     for context, behavior in enumerate(policy.assignment):
         mass = float(infer(system, zero, context)[behavior])
@@ -166,7 +165,7 @@ def pmi(system: MixtureBayesSystem, policy: DPolicy) -> float:
                 f"zero marginal for context '{name}'"
             )
         marginal_bits += math.log2(mass)
-    return coherence(system, zero, policy).bits - marginal_bits
+    return joint_bits - marginal_bits
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,8 @@ def check_prior_encodes_samples(
     mirrored decomposition. Returns (left_residual, right_residual).
     """
     partition = system.partition
-    validate_policy(partition, policy)
+    zero = PolicyState.zero()
+    full = coherence(system, zero, policy).bits
     set_a = tuple(sorted(set(subset_a)))
     for context in set_a:
         partition._check_slot(context, 0)
@@ -262,8 +262,6 @@ def check_prior_encodes_samples(
     anchor_b = PolicyState.from_behaviors(
         [partition.global_index(c, a) for c, a in pairs_a]
     )
-    zero = PolicyState.zero()
-    full = coherence(system, zero, policy).bits
     left = _residual(
         [
             sequence_coherence(system, anchor_a, pairs_a).bits,

@@ -47,7 +47,6 @@ __all__ = [
     "generic_partition",
     "random_mixture_system",
     "state_of_policy",
-    "validate_policy",
     "DEFAULT_ENUMERATION_CAP",
 ]
 
@@ -220,16 +219,6 @@ class DPolicy:
         return len(self.assignment)
 
 
-def validate_policy(partition: ContextPartition, policy: DPolicy) -> None:
-    if len(policy) != partition.n_contexts:
-        raise ValidationError(
-            f"policy has {len(policy)} coordinates for "
-            f"{partition.n_contexts} contexts"
-        )
-    for c, a in enumerate(policy.assignment):
-        partition._check_slot(c, a)
-
-
 class PolicyState:
     """Multiset of observed behaviors, keyed by global behavior index.
 
@@ -371,14 +360,14 @@ class MixtureBayesSystem:
         self.latent_weights = weights
         self._emissions = tuple(rows)
 
+        # one row of log emissions per global behavior index, then the log
+        # of a row of ones: the zero row a skipped position reads in
+        # Conditioned.numerators
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(weights)
-            self._log_emissions = tuple(np.log(arr) for arr in rows)
-        # one row of log emissions per global behavior index, then a row of
-        # zeros (the row a skipped position reads in Conditioned.numerators)
-        self._log_emission_rows = np.concatenate(
-            [*(table.T for table in self._log_emissions), np.zeros((1, weights.size))]
-        )
+            self._log_emission_rows = np.log(
+                np.concatenate([*(arr.T for arr in rows), np.ones((1, weights.size))])
+            )
         self._log_emission_rows.setflags(write=False)
 
     @property
@@ -387,9 +376,6 @@ class MixtureBayesSystem:
 
     def emissions(self, context: int) -> np.ndarray:
         return self._emissions[context]
-
-    def log_emissions(self, context: int) -> np.ndarray:
-        return self._log_emissions[context]
 
     def log_posterior_numerators(self, state: PolicyState) -> np.ndarray:
         """Natural-log of prior × state likelihood per latent (-inf allowed)."""
@@ -427,13 +413,7 @@ def infer(
             f"state {state.describe(system.partition)}"
         ) from None
     predictive = weights @ system.emissions(context)
-    total = float(predictive.sum())
-    if total <= 0.0:
-        raise DegenerateConditioningError(
-            "degenerate conditioning: zero predictive mass for state "
-            f"{state.describe(system.partition)}"
-        )
-    return predictive / total
+    return predictive / float(predictive.sum())
 
 
 def _tempered_weights(p: np.ndarray, beta: float) -> np.ndarray:
@@ -623,13 +603,16 @@ class Conditioned:
     marginal likelihood ML of a state is their sum in linear space. Coherence
     is then closed form: log2 ML(prior + policy) − log2 ML(prior). Every
     operation on log numerators lives here: building them, growing a prefix
-    by one position, max-shifting and exponentiating them, and the
-    degeneracy check; the samplers only draw from what these return.
+    by one position, max-shifting and exponentiating them; the samplers only
+    draw from what these return.
 
-    numerators() stacks the prior's log numerators and one log-emission row
-    per position, gathered from the system's table (one row per behavior,
-    then a zero row), in buffers preallocated here, so a core serves one
-    caller at a time, as a run does.
+    The log emissions are the system's one table (one row per behavior, then
+    a zero row): log_emissions holds per-position views of it, extend() adds
+    one of its rows, and numerators() stacks the prior's log numerators and
+    one gathered row per position in buffers preallocated here, so a core
+    serves one caller at a time, as a run does. _check() is the one
+    assignment check (validate(), coherence_bits() and leave_one_out() apply
+    it), and posterior_weights() the one degeneracy check.
     """
 
     def __init__(
@@ -649,14 +632,18 @@ class Conditioned:
         self.prior = prior if prior is not None else PolicyState.zero()
         self.sizes = tuple(partition.sizes[c] for c in self.contexts)
         self.emissions = [system.emissions(c) for c in self.contexts]
-        self.log_emissions = [system.log_emissions(c) for c in self.contexts]
         self.base = system.log_posterior_numerators(self.prior)
-        # numerators() buffers: row 0 the base, then one gathered row per
-        # position; position j, behavior a reads system row offsets[j] + a
+        # position j, behavior a reads system row offsets[j] + a, and
+        # log_emissions[j] is the (latents, behaviors) view of j's rows
         self._rows = system._log_emission_rows
         self._offsets = np.array(
             [partition._offsets[c] for c in self.contexts], dtype=np.int64
         )
+        self.log_emissions = [
+            self._rows[offset : offset + size].T
+            for offset, size in zip(self._offsets.tolist(), self.sizes)
+        ]
+        # numerators() buffers: row 0 the base, then one row per position
         self._index = np.empty(len(self.contexts), dtype=np.int64)
         self._limits = np.array(self.sizes, dtype=np.uint64)
         self._stack = np.empty((len(self.contexts) + 1, system.n_latents))
@@ -676,17 +663,8 @@ class Conditioned:
         return top + math.log(float(np.exp(log_numerators - top).sum()))
 
     def validate(self, policy: DPolicy) -> np.ndarray:
-        """The policy's assignment over the covered positions, range-checked."""
-        if len(policy) != len(self.contexts):
-            raise ValidationError(
-                f"policy has {len(policy)} coordinates for "
-                f"{len(self.contexts)} covered contexts"
-            )
-        for j, a in enumerate(policy.assignment):
-            if not 0 <= a < self.sizes[j]:
-                raise ValidationError(
-                    f"behavior index {a} out of range at position {j}"
-                )
+        """The policy's assignment over the covered positions, after _check."""
+        self._check(policy.assignment)
         return np.array(policy.assignment, dtype=np.int64)
 
     def numerators(
@@ -736,7 +714,7 @@ class Conditioned:
         self, log_numerators: np.ndarray, position: int, behavior: int
     ) -> np.ndarray:
         """Log numerators of a visited prefix grown by one more position."""
-        return log_numerators + self.log_emissions[position][:, behavior]
+        return log_numerators + self._rows[self._offsets[position] + behavior]
 
     @staticmethod
     def posterior_weights(log_numerators: np.ndarray) -> tuple[np.ndarray, float]:
@@ -789,12 +767,7 @@ class Conditioned:
         masses = _enumerate_masses(
             self.posterior_weights(self.base)[0], self.emissions, self.sizes, cap
         )
-        total = masses.sum()
-        if total <= 0.0:
-            raise DegenerateConditioningError(
-                "degenerate conditioning: no sub-policy has positive mass"
-            )
-        return masses / total
+        return masses / masses.sum()
 
 
 @dataclass(frozen=True)

@@ -590,3 +590,44 @@ class TestNanBoundInputs:
         assert vacuous.value == math.inf and not vacuous.valid
         floor = accuracy_lower_bound(math.inf, 10, 0.1)
         assert floor.value == -math.inf and not floor.valid
+
+
+class TestIntsPastTheFloats:
+    """An int count or mean is judged by the float it stands for: past the
+    float range it is rejected, and inside it gives the float's bits."""
+
+    BIG = 10**400
+
+    def test_counts_are_rejected(self):
+        with pytest.raises(ValidationError, match="within the float range"):
+            uniform_convergence_bound(-1.0, self.BIG, 0.05)
+        with pytest.raises(ValidationError, match="within the float range"):
+            accuracy_lower_bound(2.0, self.BIG, 0.05)
+        with pytest.raises(ValidationError, match="within the float range"):
+            regularization_bound_rhs(0.8, 3.0, 1.0, self.BIG, 0.05)
+        with pytest.raises(ValidationError, match="within the float range"):
+            conjectured_posttrain_count(-2.0, -1.0, 0.1, self.BIG)
+        with pytest.raises(ValidationError, match="within the float range"):
+            bound_validity_trials(1, n_train=self.BIG)
+
+    def test_means_past_the_floats_are_not_finite(self):
+        for values in [(self.BIG, -1), (-2, -self.BIG)]:
+            with pytest.raises(ValidationError, match="must be finite"):
+                conjectured_posttrain_count(*values, 0.1, 10)
+        with pytest.raises(ValidationError, match="must be finite"):
+            regularization_bound_rhs(self.BIG, 3.0, 1.0, 100, 0.05)
+
+    def test_large_int_mean_squares_to_infinity(self):
+        assert conjectured_posttrain_count(10**200, -1, 0.1, 10) == math.inf
+        assert conjectured_posttrain_count(1e200, -1.0, 0.1, 10) == math.inf
+
+    @pytest.mark.parametrize(
+        "pretrain,posttrain", [(2**53 + 1, -3), (10**20 + 1, 7), (-(2**55) - 5, 3)]
+    )
+    def test_int_means_give_the_bits_of_their_floats(self, pretrain, posttrain):
+        # the exact int square, divided as an int, rounds differently
+        from_ints = conjectured_posttrain_count(pretrain, posttrain, 0.1, 10)
+        from_floats = conjectured_posttrain_count(
+            float(pretrain), float(posttrain), 0.1, 10
+        )
+        assert from_ints.hex() == from_floats.hex()

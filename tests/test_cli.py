@@ -738,3 +738,40 @@ def test_sample_count_overflow_reports_invalid_infinity(
     assert "value=inf valid=False" in result.output
     report = json.loads((tmp_path / "bound.json").read_text())
     assert (report["value"], report["valid"]) == ("inf", False)
+
+
+# one more digit than the largest float (about 1.8e308) has
+PAST_FLOATS = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--bound", "uniform", "--chi", "-1", "--n", PAST_FLOATS, "--delta", "0.05"],
+        ["--bound", "accuracy", "--gap", "2", "--n", PAST_FLOATS, "--delta", "0.05"],
+        [
+            "--bound", "regularization", "--alpha", "0.8", "--entropy", "3",
+            "--kl", "1", "--n", PAST_FLOATS, "--delta", "0.05",
+        ],
+        [
+            "--bound", "sample-count", "--mean-pretrain-coh", "-2",
+            "--mean-posttrain-coh", "-1", "--pretrain-error", "0.1",
+            "--pretrain-count", PAST_FLOATS,
+        ],
+    ],
+)
+def test_bounds_reject_counts_past_the_floats(runner, tmp_path, flags):
+    result = runner.invoke(main, ["bounds", *flags, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "within the float range" in result.output
+    assert not (tmp_path / "bound.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--n-train", "--trials"])
+def test_mc_rejects_counts_past_the_floats(runner, tmp_path, flag):
+    result = runner.invoke(
+        main, ["mc", flag, PAST_FLOATS, "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "within the float range" in result.output
+    assert not (tmp_path / "trials.csv").exists()

@@ -2,7 +2,9 @@
 normalized enumeration, the cap contract of every exhaustive entry point,
 the scale-free infinite-beta tie rule, rejection of non-finite systems and
 of NaN inverse temperatures, and the policy-table builders against
-index-by-index references."""
+index-by-index references, the one log-emission table against np.log of
+each context's emissions, and the one assignment check behind every entry
+that takes a policy."""
 
 from __future__ import annotations
 
@@ -30,11 +32,13 @@ from cohopt import (
     generic_partition,
     random_mixture_system,
     sequence_coherence,
+    pmi,
     softmax_over_coherence,
+    srm_select,
     temper,
 )
 
-from conftest import condiments_partition, condiments_table
+from conftest import condiments_partition, condiments_system, condiments_table
 
 
 def _random_case(rng: np.random.Generator):
@@ -351,3 +355,102 @@ class TestPolicyTablesMatchReferences:
         assert list(partition.iter_policies()) == [
             partition.policy_at(i) for i in range(partition.policy_count())
         ]
+
+
+def _table_cases():
+    """Seeded mixtures, epsilon-0 joint tables (their logs hold -inf), each
+    over all contexts and over a reversed context subset."""
+    for seed in range(4):
+        rng = np.random.default_rng(700 + seed)
+        sizes = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(2, 5)))]
+        yield random_mixture_system(
+            generic_partition(sizes), int(rng.integers(1, 6)), rng,
+            emission_concentration=0.5,
+        )
+        joint = rng.dirichlet([1.0] * math.prod(sizes))
+        yield from_joint_table(generic_partition(sizes), joint, 0.0)
+    yield from_joint_table(condiments_partition(), condiments_table(0.0), 0.0)
+
+
+class TestOneLogEmissionTable:
+    """Every reader of the system's log-emission table against np.log of
+    the per-context emissions, bit for bit."""
+
+    @staticmethod
+    def _logs(system):
+        with np.errstate(divide="ignore"):
+            return [
+                np.log(system.emissions(c))
+                for c in range(system.partition.n_contexts)
+            ]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_core_views_and_extend(self, reverse):
+        saw_neginf = False
+        for system in _table_cases():
+            logs = self._logs(system)
+            saw_neginf = saw_neginf or any(np.isneginf(t).any() for t in logs)
+            contexts = list(range(system.partition.n_contexts))
+            if reverse:
+                contexts = contexts[::-1][: max(1, len(contexts) - 1)]
+            core = Conditioned(system, contexts=contexts)
+            assert len(core.log_emissions) == len(contexts)
+            for j, c in enumerate(contexts):
+                assert np.array_equal(core.log_emissions[j], logs[c])
+                for a in range(core.sizes[j]):
+                    assert np.array_equal(
+                        core.extend(core.base, j, a), core.base + logs[c][:, a]
+                    )
+        assert saw_neginf
+
+    def test_log_posterior_numerators(self):
+        saw_neginf = False
+        for system in _table_cases():
+            logs = self._logs(system)
+            partition = system.partition
+            rng = np.random.default_rng(partition.n_behaviors)
+            for _ in range(5):
+                state = PolicyState.from_behaviors(
+                    [int(g) for g in rng.integers(0, partition.n_behaviors, 4)]
+                )
+                with np.errstate(divide="ignore"):
+                    expected = np.log(system.latent_weights)
+                for key, count in state.counts.items():
+                    c, a = partition.locate(key)
+                    expected += count * logs[c][:, a]
+                got = system.log_posterior_numerators(state)
+                assert np.array_equal(got, expected)
+                saw_neginf = saw_neginf or bool(np.isneginf(got).any())
+        assert saw_neginf
+
+
+BAD_POLICIES = [DPolicy((0,)), DPolicy((0, 1, 2)), DPolicy((3, 0)), DPolicy((0, -1))]
+
+
+@pytest.mark.parametrize("policy", BAD_POLICIES)
+def test_every_policy_entry_raises_the_one_assignment_check(policy):
+    system = condiments_system()
+    core = Conditioned(system)
+    with pytest.raises(ValidationError) as expected:
+        core.coherence_bits(policy.assignment)
+    entries = [
+        lambda: core.validate(policy),
+        lambda: coherence(system, PolicyState.zero(), policy),
+        lambda: pmi(system, policy),
+        lambda: srm_select(system, PolicyState.zero(), [policy], []),
+    ]
+    for entry in entries:
+        with pytest.raises(ValidationError) as raised:
+            entry()
+        assert str(raised.value) == str(expected.value)
+
+
+def test_coherence_reports_a_degenerate_prior_before_a_bad_policy():
+    system = condiments_system()
+    partition = system.partition
+    # two burger behaviors at once: no latent of the joint table emits both
+    prior = PolicyState.from_behaviors(
+        [partition.global_index(0, 0), partition.global_index(0, 1)]
+    )
+    with pytest.raises(DegenerateConditioningError):
+        coherence(system, prior, DPolicy((3, 0)))

@@ -1,10 +1,10 @@
 """Benchmark a change against its parent, alternating the two checkouts.
 
-    python3 tools/bench_pair.py PARENT CHANGE --pr N [--seeds 101,...,110]
+    python3 tools/bench_pair.py PARENT CHANGE --pr N
 
 PARENT and CHANGE are checkouts of the repository (say, `git clone` of the
-parent commit and of the change). For every seed (ten by default, the pairs
-a claimed gain is judged on) and every workload listed in CHANGE's
+parent commit and of the change). For each of the seeds 101-110 (the ten pairs a
+claimed gain is judged on) and every workload listed in CHANGE's
 BENCHMARK.json, this runs that file's command (`bench/run.py`) for its
 `run_seconds` once in each checkout, the parent first on even-numbered
 seeds and the change first on odd ones, so that a drift of the host falls
@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = tuple(range(101, 111))
 
 
 def git_state(checkout: Path) -> dict:
@@ -88,9 +89,7 @@ def main() -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--seeds", default=",".join(str(s) for s in range(101, 111)))
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
@@ -98,10 +97,10 @@ def main() -> int:
     runs: dict[str, list[dict]] = {side: [] for side in sides}
 
     plan = []
-    for n, seed in enumerate(seeds):
+    for n, seed in enumerate(SEEDS):
         order = ("parent", "change") if n % 2 == 0 else ("change", "parent")
         plan += [(side, w, seed, 0) for w in workloads for side in order]
-    plan += [(side, w, seeds[0], 1) for w in workloads for side in sides]
+    plan += [(side, w, SEEDS[0], 1) for w in workloads for side in sides]
     for side, workload, seed, trace in plan:
         print(f"{side} {workload} seed {seed} trace {trace}", file=sys.stderr)
         runs[side].append(run_once(
@@ -113,7 +112,7 @@ def main() -> int:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "seconds": seconds,
         "checkouts": {side: git_state(path) for side, path in sides.items()},
         "medians": {

@@ -41,6 +41,11 @@ LOG2_E = math.log2(math.e)
 TRIAL_SIZES = (3, 3, 3)
 TRIAL_LATENTS = 2
 TRIAL_EMISSION_CONCENTRATION = 1.0
+# numpy's limits on the Monte Carlo counts: SeedSequence counts the streams
+# it spawns in a uint32, and one array of int64 draws must count its bytes
+# in a signed machine word
+MAX_TRIALS = 2**32 - 1
+MAX_TRAIN_DRAWS = sys.maxsize // 8
 
 __all__ = [
     "BoundReport",
@@ -537,10 +542,16 @@ def bound_validity_trials(
     then check |accuracy - training accuracy| <= bound for every policy
     simultaneously. violated uses the corrected sign; violated_paper reports
     the printed-sign variant, where a negative radicand counts as a
-    violation.
+    violation. Counts past MAX_TRIALS or MAX_TRAIN_DRAWS raise
+    ValidationError before anything is spawned or drawn.
     """
-    _check_count(n_trials, "n_trials")
-    _check_count(n_train, "n_train")
+    for name, n, limit in (
+        ("n_trials", n_trials, MAX_TRIALS),
+        ("n_train", n_train, MAX_TRAIN_DRAWS),
+    ):
+        _check_count(n, name)
+        if n > limit:
+            raise ValidationError(f"{name} must be at most {limit}, got {n}")
     log_term = _log_delta_term(delta)
     k = len(TRIAL_SIZES)
     count = math.prod(TRIAL_SIZES)

@@ -330,10 +330,11 @@ def write_trajectory_csv(
 
     The header comment lines carry the config echo and seed.
     """
+    contexts = [partition.context_names[c] for c in record.contexts]
     meta = {
         "config": record.config.to_dict(),
         "seed": record.config.seed,
-        "contexts": [partition.context_names[c] for c in record.contexts],
+        "contexts": contexts,
         "prior": {
             partition.global_name(k): v
             for k, v in sorted(record.prior_counts.items())
@@ -341,21 +342,22 @@ def write_trajectory_csv(
     }
     lines = _metadata_lines(record.kind, meta)
     lines.append(_csv_line(["round", "changed", "policy", "coherence_bits"]))
-    for t in range(len(record)):
-        if t == 0:
-            changed = ""
-        else:
-            changed = "|".join(
-                partition.context_names[record.contexts[j]]
-                for j in record.moves[t - 1]
-            )
-        names = "|".join(
-            partition.behavior_name(record.contexts[j], int(a))
-            for j, a in enumerate(record.trajectory[t])
-        )
-        lines.append(
-            _csv_line((t, changed, names, float(record.coherence_bits[t])))
-        )
+    # names looked up in lists built once, after behavior_name's range
+    # check on the first bad entry in row order
+    behaviors = [partition.behaviors[c] for c in record.contexts]
+    trajectory = record.trajectory
+    bad = np.argwhere((trajectory < 0) | (trajectory >= [len(b) for b in behaviors]))
+    if bad.size:
+        t, j = bad[0].tolist()
+        partition.behavior_name(record.contexts[j], int(trajectory[t, j]))
+    changed = [""] + [
+        "|".join(contexts[j] for j in move) for move in record.moves.tolist()
+    ]
+    for t, (row, bits) in enumerate(
+        zip(trajectory.tolist(), record.coherence_bits.tolist())
+    ):
+        policy = "|".join(names[a] for names, a in zip(behaviors, row))
+        lines.append(_csv_line((t, changed[t], policy, bits)))
     return write_text(path, "\n".join(lines) + "\n")
 
 

@@ -165,55 +165,152 @@ def _tempered_draw(p: np.ndarray, beta: float, rng: np.random.Generator) -> int:
     return _draw(_tempered_weights(p, beta), float(rng.random()))
 
 
-# Draw tables a single-site chain keeps before it drops them all: far above
-# the 81 conditionals of a 3x3x3 chain, and about 6 MB on a 40-context
-# chain, whose states never repeat.
+# Draw tables, and coherence values, a chain keeps before it drops them all:
+# far above the 81 conditionals and 9 retained states of a 3x3x3 chain, and
+# about 6 MB (single-site) or 9 MB (block) on a 40-context chain, whose
+# states never repeat.
 _DRAW_TABLE_CAP = 4096
 # Steps whose draws gibbs_run converts to Python numbers at once.
 _STEP_BLOCK = 4096
 
 
+def _draw_table(p: np.ndarray, beta: float) -> tuple[list[float], list[float]]:
+    """The cum and weights lists that _draw_cumulative reads for one
+    tempered conditional with masses p (the cumsum method is np.cumsum
+    without its wrapper)."""
+    weights = _tempered_weights(p, beta)
+    return weights.cumsum().tolist(), weights.tolist()
+
+
+class _KeptTables:
+    """What one Markov chain computes once and keeps: draw tables of the
+    conditionals it visits, and the coherence of the states it visits.
+
+    A state is keyed by its mixed-radix index over the covered positions
+    (position 0 most significant, as RunRecord.policy_indices), a Python
+    int that a chain updates by (a_new - a_old)·strides[j] on each move; the
+    index with some positions zeroed, together with those positions, keys
+    what is conditioned on the rest. A chain holds its state twice: as a
+    list, which the index arithmetic reads, and as the int64 array that the
+    core reads on a miss. The chains look their tables up inline and call
+    the methods here on a miss. Each dict is dropped whenever
+    _DRAW_TABLE_CAP entries are kept, which bounds its memory on chains
+    whose states never repeat. A conditional that raises is not kept and
+    raises again on every later visit. A chain validated its start, and
+    every draw is in range, so these skip the assignment check of
+    leave_one_out and coherence_bits.
+    """
+
+    def __init__(self, core: Conditioned, beta: float) -> None:
+        self.core = core
+        self.beta = beta
+        sizes = core.sizes
+        self.strides = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
+        self.tables: dict = {}
+        self.bits: dict[int, float] = {}
+
+    def index(self, state: Sequence[int]) -> int:
+        return sum(a * s for a, s in zip(state, self.strides))
+
+    @staticmethod
+    def _keep(kept: dict, key, value):
+        if len(kept) >= _DRAW_TABLE_CAP:
+            kept.clear()
+        kept[key] = value
+        return value
+
+    def conditional(
+        self, assignment: np.ndarray, position: int, rest: int
+    ) -> tuple[list[float], list[float], list[float], float]:
+        """The table of position's tempered conditional given every other
+        position, rest being the state's index with position zeroed:
+        (cum, weights, p, top), p and top as core.leave_one_out gives them."""
+        key = rest * len(self.strides) + position
+        table = self.tables.get(key)
+        if table is None:
+            core = self.core
+            p, top = core.predictive(
+                core.numerators(assignment, skip=(position,)), position
+            )
+            table = self._keep(
+                self.tables, key, (*_draw_table(p, self.beta), p.tolist(), top)
+            )
+        return table
+
+    def retained(
+        self, assignment: np.ndarray, resampled: tuple[int, ...], rest: int
+    ) -> tuple[np.ndarray, dict[int, tuple[list[float], list[float]]]]:
+        """The retained state of a block round, rest being the state's index
+        with the resampled positions zeroed: the posterior weights given the
+        prior and every other position, and a dict that predictive() fills
+        with one draw table per position."""
+        key = (resampled, rest)
+        retained = self.tables.get(key)
+        if retained is None:
+            core = self.core
+            weights, _ = core.posterior_weights(
+                core.numerators(assignment, skip=resampled)
+            )
+            retained = self._keep(self.tables, key, (weights, {}))
+        return retained
+
+    def predictive(
+        self, retained: tuple[np.ndarray, dict], position: int
+    ) -> tuple[list[float], list[float]]:
+        """The draw table of position's tempered predictive given a
+        retained state, built once."""
+        weights, tables = retained
+        table = tables.get(position)
+        if table is None:
+            table = tables[position] = _draw_table(
+                weights @ self.core.emissions[position], self.beta
+            )
+        return table
+
+    def coherence(self, assignment: np.ndarray, index: int) -> float:
+        """core.coherence_from of the state, computed once per index."""
+        value = self.bits.get(index)
+        if value is None:
+            core = self.core
+            value = self._keep(
+                self.bits, index, core.coherence_from(core.numerators(assignment))
+            )
+        return value
+
+
 def _single_site_draws(
     core: Conditioned, beta: float
 ) -> Callable[[np.ndarray, int, float], tuple[int, float, float]]:
-    """Draw function of the single-site chains: draw(assignment, position, u)
-    resamples one position from its tempered leave-one-out conditional with
-    the uniform u and returns (behavior, p[behavior], top), p and top as
-    core.leave_one_out gives them.
-
-    Each conditional is computed once per run and kept as a draw table keyed
-    by the position and the bytes of the other coordinates, so a repeated
-    conditional costs one lookup and one bisection. The tables are dropped
-    whenever _DRAW_TABLE_CAP of them are kept, which bounds their memory on
-    chains whose states never repeat. A conditional that raises is not kept
-    and raises again on every later visit. The chain validated its start,
-    and every draw is in range, so the conditional skips leave_one_out's
-    check, as the other chains' per-round coherence skips coherence_bits'.
-    """
-    tables: dict[tuple[int, bytes], tuple[list[float], list[float], list[float], float]] = {}
+    """One-off single-site draws: draw(assignment, position, u) resamples one
+    position from its tempered leave-one-out conditional, kept in
+    _KeptTables, with the uniform u and returns (behavior, p[behavior],
+    top). The chains keep a running index instead of computing one per
+    draw."""
+    kept = _KeptTables(core, beta)
 
     def draw(
         assignment: np.ndarray, position: int, u: float
     ) -> tuple[int, float, float]:
-        raw = assignment.tobytes()
-        cut = position * assignment.itemsize
-        key = (position, raw[:cut] + raw[cut + assignment.itemsize :])
-        table = tables.get(key)
-        if table is None:
-            if len(tables) >= _DRAW_TABLE_CAP:
-                tables.clear()
-            p, top = core.predictive(
-                core.numerators(assignment, skip=(position,)), position
-            )
-            weights = _tempered_weights(p, beta)
-            table = tables[key] = (
-                np.cumsum(weights).tolist(), weights.tolist(), p.tolist(), top
-            )
-        cum, weights, masses, top = table
+        state = assignment.tolist()
+        rest = kept.index(state) - state[position] * kept.strides[position]
+        cum, weights, masses, top = kept.conditional(assignment, position, rest)
         behavior = _draw_cumulative(cum, weights, u)
         return behavior, masses[behavior], top
 
     return draw
+
+
+def _forward_fill(rows: np.ndarray, picks: np.ndarray, drawn: list[int]) -> None:
+    """Fill rows[1:] from rows[0], row t+1 being row t with column picks[t]
+    set to drawn[t]: per column, a running maximum finds the last step up
+    to each row that set it. Exact integer work."""
+    steps = np.arange(1, len(drawn) + 1)
+    values = np.empty(len(drawn) + 1, dtype=np.int64)
+    values[1:] = drawn
+    for j in range(rows.shape[1]):
+        last = np.maximum.accumulate(np.where(picks == j, steps, 0))
+        values[0] = rows[0, j]
+        rows[1:, j] = values[last]
 
 
 def _start_chain(
@@ -274,23 +371,32 @@ def gibbs_run(
         system, config, prior, contexts, check_positivity,
         lambda core, rng: core.validate(initial),
     )
-    assignment = trajectory[0].copy()
-    picks = rng.integers(0, len(core.contexts), size=config.steps)
+    k = len(core.contexts)
+    picks = rng.integers(0, k, size=config.steps)
     uniforms = rng.random(config.steps)
-    draw = _single_site_draws(core, config.beta)
+    kept = _KeptTables(core, config.beta)
+    tables, strides, log_prior_ml = kept.tables, kept.strides, core.log_prior_ml
+    assignment = trajectory[0].copy()
+    state = assignment.tolist()
+    index = kept.index(state)
 
     # the draws as Python numbers, a block of steps at a time, so that
     # converting them adds no memory per step
     for lo in range(0, config.steps, _STEP_BLOCK):
-        block = zip(
-            picks[lo : lo + _STEP_BLOCK].tolist(),
-            uniforms[lo : lo + _STEP_BLOCK].tolist(),
-        )
-        for t, (j, u) in enumerate(block, start=lo + 1):
-            a_new, mass, top = draw(assignment, j, u)
-            assignment[j] = a_new
-            trajectory[t] = assignment
-            coherence_bits[t] = (top + math.log(mass) - core.log_prior_ml) / LN2
+        hi = min(lo + _STEP_BLOCK, config.steps)
+        drawn: list[int] = []
+        bits: list[float] = []
+        for j, u in zip(picks[lo:hi].tolist(), uniforms[lo:hi].tolist()):
+            rest = index - state[j] * strides[j]
+            table = tables.get(rest * k + j) or kept.conditional(assignment, j, rest)
+            cum, weights, masses, top = table
+            a = _draw_cumulative(cum, weights, u)
+            state[j] = assignment[j] = a
+            index = rest + a * strides[j]
+            drawn.append(a)
+            bits.append((top + math.log(masses[a]) - log_prior_ml) / LN2)
+        coherence_bits[lo + 1 : hi + 1] = bits
+        _forward_fill(trajectory[lo : hi + 1], picks[lo:hi], drawn)
 
     return _record(
         "gibbs", core, config, trajectory, coherence_bits, picks[:, None]
@@ -318,7 +424,6 @@ def training_friendly_gibbs_run(
         system, config, prior, contexts, check_positivity,
         lambda core, rng: core.validate(initial),
     )
-    assignment = trajectory[0].copy()
     k = len(core.contexts)
     keep = int(math.floor(config.gamma * k))
     if keep < 1:
@@ -327,23 +432,31 @@ def training_friendly_gibbs_run(
         )
     lam = config.anchor_weight
     moves = np.empty((config.steps, k - keep), dtype=np.int64)
-    anchor_p: list[np.ndarray] = []
+    kept = _KeptTables(core, config.beta)
+    strides = kept.strides
+    assignment = trajectory[0].copy()
+    state = assignment.tolist()
+    index = kept.index(state)
+    positions = list(range(k))
 
     for t in range(config.steps):
-        kept = set(rng.permutation(k)[:keep].tolist())
-        resampled = tuple(j for j in range(k) if j not in kept)
-        weights, _ = core.posterior_weights(
-            core.numerators(assignment, skip=resampled)
-        )
-        if t == 0 and lam > 0.0:
-            # round-0 retained state is the anchor for all later rounds
-            anchor_p = [weights @ core.emissions[j] for j in range(k)]
+        # shuffling a list draws as rng.permutation(k) does on arange(k);
+        # the resampled positions are the ones it does not keep, in order
+        order = positions.copy()
+        rng.shuffle(order)
+        resampled = tuple(sorted(order[keep:]))
+        rest = index - sum(state[j] * strides[j] for j in resampled)
+        retained = kept.retained(assignment, resampled, rest)
+        if t == 0:
+            anchor = retained  # round 0's retained state anchors later rounds
         for j in resampled:
             use_anchor = lam > 0.0 and (lam >= 1.0 or rng.random() < lam)
-            p = anchor_p[j] if use_anchor else weights @ core.emissions[j]
-            assignment[j] = _tempered_draw(p, config.beta, rng)
+            cum, weights = kept.predictive(anchor if use_anchor else retained, j)
+            a = _draw_cumulative(cum, weights, rng.random())
+            index += (a - state[j]) * strides[j]
+            state[j] = assignment[j] = a
         trajectory[t + 1] = assignment
-        coherence_bits[t + 1] = core.coherence_from(core.numerators(assignment))
+        coherence_bits[t + 1] = kept.coherence(assignment, index)
         moves[t] = resampled
 
     return _record("tf-gibbs", core, config, trajectory, coherence_bits, moves)
@@ -376,13 +489,20 @@ def debate_run(
     core, rng, trajectory, coherence_bits = _start_chain(
         system, config, prior, contexts, check_positivity, opening
     )
-    state = trajectory[0].copy()
-    draw = _single_site_draws(core, config.beta)
+    kept = _KeptTables(core, config.beta)
+    strides = kept.strides
+    assignment = trajectory[0].copy()
+    state = assignment.tolist()
+    index = kept.index(state)
     for t in range(config.steps):
         for position in (1, 0):
-            state[position] = draw(state, position, float(rng.random()))[0]
-        trajectory[t + 1] = state
-        coherence_bits[t + 1] = core.coherence_from(core.numerators(state))
+            rest = index - state[position] * strides[position]
+            cum, weights, _, _ = kept.conditional(assignment, position, rest)
+            a = _draw_cumulative(cum, weights, rng.random())
+            state[position] = assignment[position] = a
+            index = rest + a * strides[position]
+        trajectory[t + 1] = assignment
+        coherence_bits[t + 1] = kept.coherence(assignment, index)
 
     moves = np.tile(np.arange(2, dtype=np.int64), (config.steps, 1))
     return _record("debate", core, config, trajectory, coherence_bits, moves)

@@ -423,11 +423,11 @@ def _tempered_weights(p: np.ndarray, beta: float) -> np.ndarray:
     the indicator of the ties: entries within a factor 2^-1e-12 of the
     maximum (1e-12 bits), a rule that does not depend on the scale of p.
     """
+    if beta == 1.0:
+        return p
     top = float(p.max())
     if math.isinf(beta):
         return (p >= top * 2.0 ** (-PROB_ATOL)).astype(np.float64)
-    if beta == 1.0:
-        return p
     out = np.zeros_like(p)
     positive = p > 0
     out[positive] = np.exp(beta * (np.log(p[positive]) - math.log(top)))

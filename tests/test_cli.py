@@ -775,3 +775,20 @@ def test_mc_rejects_counts_past_the_floats(runner, tmp_path, flag):
     assert result.exit_code == 2, result.output
     assert "within the float range" in result.output
     assert not (tmp_path / "trials.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--trials", "3", "--n-train", str(10**300)],
+         f"n_train must be at most {2**60 - 1}, got {10**300}"),
+        (["--trials", str(10**20)],
+         f"n_trials must be at most {2**32 - 1}, got {10**20}"),
+    ],
+    ids=["n-train", "trials"],
+)
+def test_mc_rejects_counts_numpy_cannot_size(runner, tmp_path, flags, message):
+    result = runner.invoke(main, ["mc", *flags, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}" in result.output
+    assert not (tmp_path / "trials.csv").exists()

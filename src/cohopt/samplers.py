@@ -192,13 +192,12 @@ class _KeptTables:
     index with some positions zeroed, together with those positions, keys
     what is conditioned on the rest. A chain holds its state twice: as a
     list, which the index arithmetic reads, and as the int64 array that the
-    core reads on a miss. The chains look their tables up inline and call
-    the methods here on a miss. Each dict is dropped whenever
-    _DRAW_TABLE_CAP entries are kept, which bounds its memory on chains
-    whose states never repeat. A conditional that raises is not kept and
-    raises again on every later visit. A chain validated its start, and
-    every draw is in range, so these skip the assignment check of
-    leave_one_out and coherence_bits.
+    core reads on a miss. gibbs_run looks its tables up inline before it
+    calls conditional(). Each dict is dropped whenever _DRAW_TABLE_CAP
+    entries are kept, which bounds its memory on chains whose states never
+    repeat. A conditional that raises is not kept and raises again on every
+    later visit. A chain validated its start, and every draw is in range,
+    so these skip the assignment check of leave_one_out and coherence_bits.
     """
 
     def __init__(self, core: Conditioned, beta: float) -> None:

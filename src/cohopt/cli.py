@@ -29,7 +29,7 @@ from .analysis import (
     regularization_bound_rhs,
 )
 from .checks import run_all_sweeps
-from .coherence import coherence, pmi, softmax_over_coherence
+from .coherence import _exact_softmax, coherence, pmi, softmax_over_coherence
 from .errors import CohoptError, ValidationError
 from .experiments import equivalence_study
 from .fileio import (
@@ -49,7 +49,12 @@ from .samplers import (
     simple_bootstrap_run,
     training_friendly_gibbs_run,
 )
-from .systems import DEFAULT_ENUMERATION_CAP, PolicyState, check_beta
+from .systems import (
+    DEFAULT_ENUMERATION_CAP,
+    Conditioned,
+    PolicyState,
+    check_beta,
+)
 
 OUTPUT_DIR_ENV = "COHOPT_OUTPUT_DIR"
 TV_REPORT_CAP = 4096
@@ -118,10 +123,11 @@ def cmd_coherence(scenario: str, policy: str) -> None:
 def cmd_enumerate(scenario: str, beta: float, cap: int, out: str | None) -> None:
     """Write the exact tempered policy distribution as a sorted table."""
     data = load_scenario(scenario)
-    distribution = softmax_over_coherence(data.system, beta, cap=cap)
+    masses = Conditioned(data.system).masses(cap)
+    distribution = _exact_softmax(masses, beta, data.partition.sizes)
     out_path = _out_dir(out)
     table = write_distribution_csv(
-        out_path / "xbeta.csv", data.partition, distribution, data.system
+        out_path / "xbeta.csv", data.partition, distribution, masses
     )
     write_json(
         out_path / "config.json",

@@ -141,10 +141,17 @@ def softmax_over_coherence(
     maximizers found within 1e-12 bits of the maximum.
     """
     check_beta(beta)
+    return _exact_softmax(
+        Conditioned(system).masses(cap), beta, system.partition.sizes
+    )
+
+
+def _exact_softmax(
+    masses: np.ndarray, beta: float, sizes: Sequence[int]
+) -> PolicyDistribution:
+    """The tempered distribution of an enumerated mass table."""
     return PolicyDistribution(
-        masses=temper(Conditioned(system).masses(cap), beta),
-        provenance="exact-softmax",
-        sizes=system.partition.sizes,
+        masses=temper(masses, beta), provenance="exact-softmax", sizes=sizes
     )
 
 

@@ -22,7 +22,6 @@ from .coherence import PolicyDistribution
 from .errors import ValidationError
 from .samplers import BootstrapResult, RunRecord
 from .systems import (
-    Conditioned,
     ContextPartition,
     DPolicy,
     MixtureBayesSystem,
@@ -292,15 +291,16 @@ def write_distribution_csv(
     path: str | Path,
     partition: ContextPartition,
     distribution: PolicyDistribution,
-    system: MixtureBayesSystem,
+    masses: np.ndarray,
 ) -> Path:
     """One row per d-policy: behavior names joined by '|', mass, coherence in
     bits; sorted by descending mass then lexicographic policy.
 
-    Coherence comes from one enumeration of the system's policy masses.
+    masses is the joint mass table the distribution was tempered from, in
+    policy-index order; coherence is its log2.
     """
     with np.errstate(divide="ignore"):
-        chis = np.log2(Conditioned(system).masses(cap=len(distribution)))
+        chis = np.log2(masses)
     labels = ("|".join(n) for n in itertools.product(*partition.behaviors))
     rows = sorted(
         zip(labels, distribution.masses.tolist(), chis.tolist(), strict=True),

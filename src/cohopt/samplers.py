@@ -31,7 +31,7 @@ from .systems import (
     check_beta,
     temper,
 )
-from .coherence import PolicyDistribution
+from .coherence import PolicyDistribution, _exact_softmax
 
 __all__ = [
     "SamplerConfig",
@@ -748,8 +748,4 @@ def exact_conditional_distribution(
     """
     check_beta(beta)
     core = Conditioned(system, prior, contexts)
-    return PolicyDistribution(
-        masses=temper(core.masses(cap), beta),
-        provenance="exact-softmax",
-        sizes=core.sizes,
-    )
+    return _exact_softmax(core.masses(cap), beta, core.sizes)

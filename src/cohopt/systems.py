@@ -28,6 +28,10 @@ PROB_ATOL = 1e-12
 LN2 = math.log(2.0)
 JOINT_SUM_ATOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 1_000_000
+# entries in the widest level of one block of latents (_enumerate_masses)
+_BLOCK_ENTRIES = 1 << 16
+# narrowest level grown one behavior column at a time (_add_block)
+_COLUMN_WIDTH = 32
 
 __all__ = [
     "ContextPartition",
@@ -545,6 +549,8 @@ def check_chain_rule(
 
 
 def _check_cap(count: int, cap: int) -> None:
+    if cap < 1:
+        raise ValidationError(f"enumeration cap must be at least 1, got {cap}")
     if count > cap:
         raise EnumerationCapError(
             f"policy space has {count} elements, above the cap of {cap}"
@@ -560,19 +566,55 @@ def _enumerate_masses(
     """Σ_θ weights_θ · Π_j emissions[j][θ, π(j)] for every π in the
     mixed-radix space of sizes (position 0 most significant).
 
-    Each latent's table is a chain of outer products over the positions,
-    added into one total, so memory stays at O(count) whatever the number
-    of latents.
+    The latents of nonzero weight are taken in blocks of about
+    _BLOCK_ENTRIES // count (at least one), and each block's rows are added
+    into one total in latent order (see _add_block). Memory therefore stays
+    at the total plus one block's widest level, about
+    max(count, _BLOCK_ENTRIES) entries, whatever the number of latents.
     """
     count = math.prod(sizes)
     _check_cap(count, cap)
+    # a total started from zeros, not from the first row, holds 0.0 where
+    # every latent's product is -0.0
     masses = np.zeros(count)
-    for theta in np.flatnonzero(weights):
-        lik = weights[theta : theta + 1]
-        for table in emissions:
-            lik = np.multiply.outer(lik, table[theta]).ravel()
-        masses += lik
+    latents = np.flatnonzero(weights)
+    step = max(1, _BLOCK_ENTRIES // count)
+    for start in range(0, latents.size, step):
+        _add_block(masses, weights, emissions, latents[start : start + step])
     return masses
+
+
+def _add_block(
+    masses: np.ndarray,
+    weights: np.ndarray,
+    emissions: Sequence[np.ndarray],
+    latents: np.ndarray,
+) -> None:
+    """Add to masses the table w_θ·e₀[θ, π(0)]·e₁[θ, π(1)]·… of each latent θ
+    of the block, multiplied left to right and added in latent order.
+
+    Level j holds one row per latent over the first j positions. A level at
+    least _COLUMN_WIDTH entries wide grows by one multiply per behavior,
+    written into its column of the next level, so numpy's inner loop runs
+    over the whole row; a narrower level grows by one broadcast multiply.
+    Each level is dropped once the next is built, and the last one when this
+    frame ends, before the next block starts.
+    """
+    if latents[-1] - latents[0] == latents.size - 1:
+        latents = slice(latents[0], latents[-1] + 1)
+    level = weights[latents][:, None]
+    for table in emissions:
+        rows = table[latents]
+        block, width = level.shape
+        if width >= _COLUMN_WIDTH:
+            grown = np.empty((block, width, rows.shape[1]))
+            for a in range(rows.shape[1]):
+                np.multiply(level, rows[:, a : a + 1], out=grown[:, :, a])
+        else:
+            grown = np.multiply(level[:, :, None], rows[:, None, :])
+        level = grown.reshape(block, -1)
+    for row in level:
+        masses += row
 
 
 def enumerate_policy_masses(

@@ -11,11 +11,13 @@ seeds and the change first on odd ones, so that a drift of the host falls
 on both sides. Then it runs one traced run (`--trace 1`) per workload and
 side on the first seed. Runs go one at a time.
 
-The output, BENCH_N.json at the root of this repository, holds every run's JSON result line with its detail lines, the median of
-every end-to-end metric and detail per workload and side, the host's CPU
-count, the Python and numpy versions, and each checkout's git SHA, with
-`clean: false` when it had uncommitted changes. Exits 1 when a run was not
-correct.
+The output, BENCH_N.json at the root of this repository, holds every run's
+JSON result line with its detail lines; per workload and side, the median
+and the quartiles of every end-to-end metric and detail; per workload and
+end-to-end metric, the number of seed pairs each side won (ties count for
+neither), the inputs of a gain claim; the host's CPU count, the Python and
+numpy versions, and each checkout's git SHA, with `clean: false` when it had
+uncommitted changes. Exits 1 when a run was not correct.
 """
 
 from __future__ import annotations
@@ -73,15 +75,54 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
             "result": result, "details": details}
 
 
-def medians(runs: list[dict]) -> dict[str, float]:
-    """Median of every end-to-end metric and detail line over untraced runs."""
-    values: dict[str, list[float]] = {}
+def values_by_seed(runs: list[dict]) -> dict[str, dict[int, float]]:
+    """Every end-to-end metric and detail line of the untraced runs, by
+    name, then by seed."""
+    values: dict[str, dict[int, float]] = {}
     for run in runs:
         if run["trace"]:
             continue
         for name, metric in {**run["result"]["metrics"], **run["details"]}.items():
-            values.setdefault(name, []).append(metric["value"])
-    return {name: statistics.median(v) for name, v in values.items()}
+            values.setdefault(name, {})[run["seed"]] = metric["value"]
+    return values
+
+
+def medians(runs: list[dict]) -> dict[str, float]:
+    """Median of every end-to-end metric and detail line over untraced runs."""
+    return {
+        name: statistics.median(v.values())
+        for name, v in values_by_seed(runs).items()
+    }
+
+
+def quartiles(runs: list[dict]) -> dict[str, list[float]]:
+    """First quartile, median and third quartile of every end-to-end metric
+    and detail line over untraced runs (linear interpolation between order
+    statistics, as numpy.percentile)."""
+    return {
+        name: statistics.quantiles(v.values(), n=4, method="inclusive")
+        for name, v in values_by_seed(runs).items()
+    }
+
+
+def wins(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """For each end-to-end metric, the number of seed pairs each side won
+    in the metric's better direction; a tie counts for neither side."""
+    a, b = values_by_seed(parent), values_by_seed(change)
+    out = {}
+    for name, direction in better.items():
+        sign = 1 if direction == "lower" else -1
+        pairs = [
+            (sign * a[name][seed], sign * b[name][seed])
+            for seed in a.get(name, {})
+            if seed in b.get(name, {})
+        ]
+        out[name] = {
+            "pairs": len(pairs),
+            "parent": sum(p < c for p, c in pairs),
+            "change": sum(c < p for p, c in pairs),
+        }
+    return out
 
 
 def main() -> int:
@@ -107,6 +148,10 @@ def main() -> int:
             sides[side], spec["command"], workload, seed, seconds, trace
         ))
 
+    def of(side: str, workload: str) -> list[dict]:
+        return [r for r in runs[side] if r["workload"] == workload]
+
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     report = {
         "pr": args.pr,
         "nproc": os.cpu_count(),
@@ -116,10 +161,12 @@ def main() -> int:
         "seconds": seconds,
         "checkouts": {side: git_state(path) for side, path in sides.items()},
         "medians": {
-            w: {side: medians([r for r in runs[side] if r["workload"] == w])
-                for side in sides}
-            for w in workloads
+            w: {side: medians(of(side, w)) for side in sides} for w in workloads
         },
+        "quartiles": {
+            w: {side: quartiles(of(side, w)) for side in sides} for w in workloads
+        },
+        "wins": {w: wins(of("parent", w), of("change", w), better) for w in workloads},
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.pr}.json"

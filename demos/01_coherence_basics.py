@@ -13,6 +13,7 @@ import math
 from pathlib import Path
 
 from cohopt import (
+    Conditioned,
     PolicyState,
     coherence,
     infer,
@@ -62,8 +63,11 @@ for beta in (1.0, 4.0, math.inf):
     names = "|".join(partition.policy_names(partition.policy_at(top)))
     print(f"beta={beta}: top policy {names} with mass {dist.masses[top]:.4f}")
 
+# The table lists each policy's tempered mass next to its coherence, the
+# log2 of its untempered joint mass.
 out = HERE / "output"
+masses = Conditioned(system).masses()
 table = write_distribution_csv(
-    out / "condiments_x1.csv", partition, softmax_over_coherence(system, 1.0), system
+    out / "condiments_x1.csv", partition, softmax_over_coherence(system, 1.0), masses
 )
 print("wrote", table)

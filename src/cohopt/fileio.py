@@ -299,6 +299,14 @@ def write_distribution_csv(
     masses is the joint mass table the distribution was tempered from, in
     policy-index order; coherence is its log2.
     """
+    if (
+        not isinstance(masses, np.ndarray)
+        or masses.shape != distribution.masses.shape
+    ):
+        raise ValidationError(
+            "masses must be the 1-D mass table of the distribution's "
+            f"{distribution.masses.size} policies"
+        )
     with np.errstate(divide="ignore"):
         chis = np.log2(masses)
     labels = ("|".join(n) for n in itertools.product(*partition.behaviors))

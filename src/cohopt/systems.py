@@ -30,8 +30,10 @@ JOINT_SUM_ATOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 1_000_000
 # entries in the widest level of one block of latents (_enumerate_masses)
 _BLOCK_ENTRIES = 1 << 16
-# narrowest level grown one behavior column at a time (_add_block)
-_COLUMN_WIDTH = 32
+# smallest level, in entries, grown one behavior column at a time
+# (_add_block): a broadcast multiply starts numpy's inner loop once per
+# entry, and about this many starts cost as much as one call per behavior
+_COLUMN_ENTRIES = 512
 
 __all__ = [
     "ContextPartition",
@@ -568,8 +570,9 @@ def _enumerate_masses(
 
     The latents of nonzero weight are taken in blocks of about
     _BLOCK_ENTRIES // count (at least one), and each block's rows are added
-    into one total in latent order (see _add_block). Memory therefore stays
-    at the total plus one block's widest level, about
+    into one total in latent order (see _add_block). A block slices the
+    tables when every latent has nonzero weight and indexes them otherwise.
+    Memory therefore stays at the total plus one block's widest level, about
     max(count, _BLOCK_ENTRIES) entries, whatever the number of latents.
     """
     count = math.prod(sizes)
@@ -578,9 +581,13 @@ def _enumerate_masses(
     # every latent's product is -0.0
     masses = np.zeros(count)
     latents = np.flatnonzero(weights)
+    every = latents.size == weights.size
     step = max(1, _BLOCK_ENTRIES // count)
     for start in range(0, latents.size, step):
-        _add_block(masses, weights, emissions, latents[start : start + step])
+        block = (
+            slice(start, start + step) if every else latents[start : start + step]
+        )
+        _add_block(masses, weights, emissions, block)
     return masses
 
 
@@ -588,32 +595,30 @@ def _add_block(
     masses: np.ndarray,
     weights: np.ndarray,
     emissions: Sequence[np.ndarray],
-    latents: np.ndarray,
+    latents: slice | np.ndarray,
 ) -> None:
     """Add to masses the table w_θ·e₀[θ, π(0)]·e₁[θ, π(1)]·… of each latent θ
     of the block, multiplied left to right and added in latent order.
 
-    Level j holds one row per latent over the first j positions. A level at
-    least _COLUMN_WIDTH entries wide grows by one multiply per behavior,
-    written into its column of the next level, so numpy's inner loop runs
-    over the whole row; a narrower level grows by one broadcast multiply.
-    Each level is dropped once the next is built, and the last one when this
-    frame ends, before the next block starts.
+    Level j holds one row per latent over the first j positions, as a
+    (latents, width, 1) array. A level of at least _COLUMN_ENTRIES entries
+    grows by one multiply per behavior, written into its column of the next
+    level, so numpy's inner loop runs over whole rows; a smaller level grows
+    by one broadcast multiply. Each level is dropped once the next is built,
+    and the last one when this frame ends, before the next block starts.
     """
-    if latents[-1] - latents[0] == latents.size - 1:
-        latents = slice(latents[0], latents[-1] + 1)
-    level = weights[latents][:, None]
+    level = weights[latents, None, None]
+    block = level.shape[0]
     for table in emissions:
-        rows = table[latents]
-        block, width = level.shape
-        if width >= _COLUMN_WIDTH:
-            grown = np.empty((block, width, rows.shape[1]))
-            for a in range(rows.shape[1]):
-                np.multiply(level, rows[:, a : a + 1], out=grown[:, :, a])
+        rows = table[latents, None]
+        if level.size >= _COLUMN_ENTRIES:
+            grown = np.empty((block, level.shape[1], rows.shape[2]))
+            for a in range(rows.shape[2]):
+                np.multiply(level, rows[:, :, a : a + 1], out=grown[:, :, a : a + 1])
         else:
-            grown = np.multiply(level[:, :, None], rows[:, None, :])
-        level = grown.reshape(block, -1)
-    for row in level:
+            grown = np.multiply(level, rows)
+        level = grown.reshape(block, -1, 1)
+    for row in level[:, :, 0]:
         masses += row
 
 

@@ -26,6 +26,7 @@ from cohopt import (
     save_scenario,
     softmax_over_coherence,
     srm_select,
+    write_distribution_csv,
 )
 from cohopt import systems
 from cohopt.cli import main
@@ -34,7 +35,7 @@ from cohopt.systems import _enumerate_masses
 from conftest import condiments_partition, condiments_table
 
 BLOCK = systems._BLOCK_ENTRIES
-COLUMN = systems._COLUMN_WIDTH
+COLUMN = systems._COLUMN_ENTRIES
 
 
 def _reference_masses(weights, emissions, sizes):
@@ -92,7 +93,7 @@ class TestKernelMatchesReference:
             _check_kernel(*_random_tables(rng, sizes, latents), sizes)
 
     def test_column_and_broadcast_levels(self):
-        # prefix widths below, at and above the column threshold
+        # levels of fewer, exactly and more entries than the column threshold
         rng = np.random.default_rng(3)
         for sizes in (
             (COLUMN - 1, 2),
@@ -263,3 +264,37 @@ class TestCapBelowOne:
         )
         assert result.exit_code == code, result.output
         assert not (tmp_path / "o").exists()
+
+
+class TestDistributionCsvMasses:
+    def test_writes_the_log2_of_the_given_masses(self, tmp_path):
+        system = _mixture()
+        masses = Conditioned(system).masses()
+        path = write_distribution_csv(
+            tmp_path / "x.csv",
+            system.partition,
+            softmax_over_coherence(system, 2.0),
+            masses,
+        )
+        rows = path.read_text().splitlines()[1:]
+        bits = sorted(float(row.rsplit(",", 1)[1]) for row in rows)
+        assert bits == sorted(np.log2(masses).tolist())
+
+    @pytest.mark.parametrize("bad", ["system", "short", "2-D", "list"])
+    def test_rejects_anything_but_the_mass_table(self, tmp_path, bad):
+        system = _mixture()
+        masses = Conditioned(system).masses()
+        given = {
+            "system": system,
+            "short": masses[:-1],
+            "2-D": masses.reshape(9, 3),
+            "list": masses.tolist(),
+        }[bad]
+        with pytest.raises(ValidationError, match="mass table"):
+            write_distribution_csv(
+                tmp_path / "x.csv",
+                system.partition,
+                softmax_over_coherence(system, 1.0),
+                given,
+            )
+        assert not (tmp_path / "x.csv").exists()

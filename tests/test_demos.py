@@ -19,9 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
 
 
-@pytest.mark.parametrize(
-    "script", sorted(p.name for p in DEMOS.glob("*.py")), ids=lambda name: name
-)
+@pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(script: str, tmp_path: Path) -> None:
     copy = tmp_path / "demos"
     shutil.copytree(DEMOS, copy, ignore=shutil.ignore_patterns("output"))

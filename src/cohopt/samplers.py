@@ -165,10 +165,11 @@ def _tempered_draw(p: np.ndarray, beta: float, rng: np.random.Generator) -> int:
     return _draw(_tempered_weights(p, beta), float(rng.random()))
 
 
-# Draw tables, and coherence values, a chain keeps before it drops them all:
-# far above the 81 conditionals and 9 retained states of a 3x3x3 chain, and
-# about 6 MB (single-site) or 9 MB (block) on a 40-context chain, whose
-# states never repeat.
+# Draw tables, leave-one-outs, seen keys and values per state a chain or
+# climb keeps of one kind before it drops them all: far above the 81
+# conditionals and 9 retained states of a 3x3x3 chain, and about 6 MB
+# (single-site) or under 1 MB (block) on a 40-context chain, whose states
+# never repeat.
 _DRAW_TABLE_CAP = 4096
 # Steps whose draws gibbs_run converts to Python numbers at once.
 _STEP_BLOCK = 4096
@@ -183,8 +184,9 @@ def _draw_table(p: np.ndarray, beta: float) -> tuple[list[float], list[float]]:
 
 
 class _KeptTables:
-    """What one Markov chain computes once and keeps: draw tables of the
-    conditionals it visits, and the coherence of the states it visits.
+    """What one Markov chain or ICM climb computes once and keeps: draw
+    tables of the conditionals a chain visits, the leave-one-outs a climb
+    scores, and the coherence or score of the states either visits.
 
     A state is keyed by its mixed-radix index over the covered positions
     (position 0 most significant, as RunRecord.policy_indices), a Python
@@ -195,17 +197,22 @@ class _KeptTables:
     core reads on a miss. gibbs_run looks its tables up inline before it
     calls conditional(). Each dict is dropped whenever _DRAW_TABLE_CAP
     entries are kept, which bounds its memory on chains whose states never
-    repeat. A conditional that raises is not kept and raises again on every
-    later visit. A chain validated its start, and every draw is in range,
-    so these skip the assignment check of leave_one_out and coherence_bits.
+    repeat. A block chain keeps a retained state only once its key comes
+    round a second time, so a wide chain, whose retained states never
+    repeat, holds the hash of each key instead of an entry. A conditional or
+    leave-one-out that raises is not kept and raises again on every later
+    visit. A chain validated its start, and every draw is in range, so these
+    skip the assignment check of leave_one_out and coherence_bits.
     """
 
-    def __init__(self, core: Conditioned, beta: float) -> None:
+    def __init__(self, core: Conditioned, beta: float = 1.0) -> None:
         self.core = core
         self.beta = beta
         sizes = core.sizes
         self.strides = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
         self.tables: dict = {}
+        self.seen: dict = {}
+        self.leave_one_outs: dict[int, tuple[list[float], float]] = {}
         self.bits: dict[int, float] = {}
 
     def index(self, state: Sequence[int]) -> int:
@@ -250,7 +257,13 @@ class _KeptTables:
             weights, _ = core.posterior_weights(
                 core.numerators(assignment, skip=resampled)
             )
-            retained = self._keep(self.tables, key, (weights, {}))
+            retained = (weights, {})
+            # a key's hash marks it seen: a collision only keeps an entry early
+            marker = hash(key)
+            if marker in self.seen:
+                self._keep(self.tables, key, retained)
+            else:
+                self._keep(self.seen, marker, None)
         return retained
 
     def predictive(
@@ -265,6 +278,21 @@ class _KeptTables:
                 weights @ self.core.emissions[position], self.beta
             )
         return table
+
+    def leave_one_out(
+        self, assignment: np.ndarray, position: int, rest: int
+    ) -> tuple[list[float], float]:
+        """The masses p of position's leave-one-out, as core.leave_one_out
+        gives them, as a list, and float(p.sum()); rest as in conditional()."""
+        key = rest * len(self.strides) + position
+        kept = self.leave_one_outs.get(key)
+        if kept is None:
+            core = self.core
+            p, _ = core.predictive(
+                core.numerators(assignment, skip=(position,)), position
+            )
+            kept = self._keep(self.leave_one_outs, key, (p.tolist(), float(p.sum())))
+        return kept
 
     def coherence(self, assignment: np.ndarray, index: int) -> float:
         """core.coherence_from of the state, computed once per index."""
@@ -620,26 +648,27 @@ def mutual_predictability(
     behavior has zero conditional probability.
     """
     core = Conditioned(system, prior, contexts)
-    return _mutual_predictability(core, core.validate(policy))
+    assignment = core.validate(policy)
+    kept = _KeptTables(core)
+    state = assignment.tolist()
+    return _mutual_predictability(kept, assignment, state, kept.index(state))
 
 
-def _mutual_predictability(core: Conditioned, assignment: np.ndarray) -> float:
+def _mutual_predictability(
+    kept: _KeptTables, assignment: np.ndarray, state: list[int], index: int
+) -> float:
+    """log2 p[a] / sum(p) of each position's kept leave-one-out, added in
+    position order; -inf at the first zero mass. state is assignment as a
+    list and index its mixed-radix index. Raises
+    DegenerateConditioningError where a leave-one-out state is impossible."""
     total = 0.0
-    for j in range(len(core.contexts)):
-        p, _ = core.predictive(core.numerators(assignment, skip=(j,)), j)
-        mass = float(p[assignment[j]]) / float(p.sum())
+    for j, (a, stride) in enumerate(zip(state, kept.strides)):
+        p, psum = kept.leave_one_out(assignment, j, index - a * stride)
+        mass = p[a] / psum
         if mass <= 0.0:
             return -math.inf
         total += math.log2(mass)
     return total
-
-
-def _icm_score(core: Conditioned, assignment: np.ndarray) -> float:
-    """Mutual predictability, -inf where a leave-one-out state is impossible."""
-    try:
-        return _mutual_predictability(core, assignment)
-    except DegenerateConditioningError:
-        return -math.inf
 
 
 def icm_hill_climb(
@@ -654,6 +683,13 @@ def icm_hill_climb(
 ) -> DPolicy:
     """Best-improvement coordinate ascent on mutual predictability with
     seeded random restarts; returns the best policy found.
+
+    Each sweep scores every single-coordinate move and takes the best; ties
+    go to the first found, in position then behavior order. The climb keeps
+    every leave-one-out it computes, keyed as the chains key their
+    conditionals, and every visited policy's score, keyed by its index, so
+    that a repeated leave-one-out or policy costs a lookup. A policy with an
+    impossible leave-one-out state scores -inf.
 
     The returned policy is a local maximum under single-coordinate moves
     unless the per-restart sweep cap max_iters was hit.
@@ -670,28 +706,45 @@ def icm_hill_climb(
         starts.append(
             np.array([rng.integers(0, s) for s in core.sizes], dtype=np.int64)
         )
+    kept = _KeptTables(core)
+    strides, scores = kept.strides, kept.bits
+
+    def score(assignment: np.ndarray, state: list[int], index: int) -> float:
+        value = scores.get(index)
+        if value is None:
+            try:
+                value = _mutual_predictability(kept, assignment, state, index)
+            except DegenerateConditioningError:
+                value = -math.inf
+            kept._keep(scores, index, value)
+        return value
 
     best_assignment = starts[0].copy()
     best_score = -math.inf
     for start in starts:
         current = start.copy()
-        current_score = _icm_score(core, current)
+        state = current.tolist()
+        index = kept.index(state)
+        current_score = score(current, state, index)
         for _ in range(max_iters):
             move = None
             move_score = current_score
             for j in range(k):
-                original = current[j]
+                original = state[j]
+                rest = index - original * strides[j]
                 for a in range(core.sizes[j]):
                     if a == original:
                         continue
-                    current[j] = a
-                    candidate = _icm_score(core, current)
+                    state[j] = current[j] = a
+                    candidate = score(current, state, rest + a * strides[j])
                     if candidate > move_score:
                         move, move_score = (j, a), candidate
-                current[j] = original
+                state[j] = current[j] = original
             if move is None:
                 break
-            current[move[0]] = move[1]
+            j, a = move
+            index += (a - state[j]) * strides[j]
+            state[j] = current[j] = a
             current_score = move_score
         if current_score > best_score:
             best_assignment = current.copy()

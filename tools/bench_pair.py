@@ -15,9 +15,14 @@ The output, BENCH_N.json at the root of this repository, holds every run's
 JSON result line with its detail lines; per workload and side, the median
 and the quartiles of every end-to-end metric and detail; per workload and
 end-to-end metric, the number of seed pairs each side won (ties count for
-neither), the inputs of a gain claim; the host's CPU count, the Python and
-numpy versions, and each checkout's git SHA, with `clean: false` when it had
-uncommitted changes. Exits 1 when a run was not correct.
+neither) and the verdict of the gain rule, which is printed too; the host's
+CPU count, the Python and numpy versions, and each checkout's git SHA, with
+`clean: false` when it had uncommitted changes. Exits 1 when a run was not
+correct.
+
+The gain rule: a metric shows a `gain` when the change won at least 9 of
+the 10 pairs and its median moved the better way by more than the parent's
+interquartile spread; otherwise the verdict is `none`.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = tuple(range(101, 111))
+GAIN_WINS = 0.9  # the share of pairs the change must win: 9 of the 10
 
 
 def git_state(checkout: Path) -> dict:
@@ -125,6 +131,31 @@ def wins(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict
     return out
 
 
+def verdict(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """For each end-to-end metric, "gain" by the gain rule, else "none",
+    with the numbers it was judged on."""
+    won = wins(parent, change, better)
+    spread, shifted = quartiles(parent), medians(change)
+    out = {}
+    for name, direction in better.items():
+        if name not in spread or name not in shifted:
+            out[name] = {"verdict": "none"}
+            continue
+        q1, median, q3 = spread[name]
+        sign = 1 if direction == "lower" else -1
+        shift = sign * (median - shifted[name])
+        pairs, change_wins = won[name]["pairs"], won[name]["change"]
+        gain = pairs > 0 and change_wins >= GAIN_WINS * pairs and shift > q3 - q1
+        out[name] = {
+            "verdict": "gain" if gain else "none",
+            "change_wins": change_wins,
+            "pairs": pairs,
+            "shift": shift,
+            "parent_iqr": q3 - q1,
+        }
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -167,8 +198,17 @@ def main() -> int:
             w: {side: quartiles(of(side, w)) for side in sides} for w in workloads
         },
         "wins": {w: wins(of("parent", w), of("change", w), better) for w in workloads},
+        "verdict": {
+            w: verdict(of("parent", w), of("change", w), better) for w in workloads
+        },
         "runs": runs,
     }
+    for w, metrics in report["verdict"].items():
+        for name, v in metrics.items():
+            print(f"{w} {name}: {v['verdict']}"
+                  + (f" ({v['change_wins']}/{v['pairs']} wins, shift "
+                     f"{v['shift']:.4g} vs parent IQR {v['parent_iqr']:.4g})"
+                     if "shift" in v else ""))
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

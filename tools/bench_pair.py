@@ -205,10 +205,7 @@ def main() -> int:
     }
     for w, metrics in report["verdict"].items():
         for name, v in metrics.items():
-            print(f"{w} {name}: {v['verdict']}"
-                  + (f" ({v['change_wins']}/{v['pairs']} wins, shift "
-                     f"{v['shift']:.4g} vs parent IQR {v['parent_iqr']:.4g})"
-                     if "shift" in v else ""))
+            print(f"{w} {name}: {json.dumps(v)}")
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

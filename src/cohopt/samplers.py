@@ -294,6 +294,34 @@ class _KeptTables:
             kept = self._keep(self.leave_one_outs, key, (p.tolist(), float(p.sum())))
         return kept
 
+    def mutual_predictability(
+        self, assignment: np.ndarray, state: list[int], index: int
+    ) -> float:
+        """log2 p[a] / sum(p) of each position's kept leave-one-out, added
+        in position order; -inf at the first zero mass. state is assignment
+        as a list and index its index. Raises DegenerateConditioningError
+        where a leave-one-out state is impossible."""
+        total = 0.0
+        for j, (a, stride) in enumerate(zip(state, self.strides)):
+            p, psum = self.leave_one_out(assignment, j, index - a * stride)
+            mass = p[a] / psum
+            if mass <= 0.0:
+                return -math.inf
+            total += math.log2(mass)
+        return total
+
+    def score(self, assignment: np.ndarray, state: list[int], index: int) -> float:
+        """The ICM score of the state, computed once per index:
+        mutual_predictability(), or -inf where that raises."""
+        value = self.bits.get(index)
+        if value is None:
+            try:
+                value = self.mutual_predictability(assignment, state, index)
+            except DegenerateConditioningError:
+                value = -math.inf
+            self._keep(self.bits, index, value)
+        return value
+
     def coherence(self, assignment: np.ndarray, index: int) -> float:
         """core.coherence_from of the state, computed once per index."""
         value = self.bits.get(index)
@@ -651,24 +679,7 @@ def mutual_predictability(
     assignment = core.validate(policy)
     kept = _KeptTables(core)
     state = assignment.tolist()
-    return _mutual_predictability(kept, assignment, state, kept.index(state))
-
-
-def _mutual_predictability(
-    kept: _KeptTables, assignment: np.ndarray, state: list[int], index: int
-) -> float:
-    """log2 p[a] / sum(p) of each position's kept leave-one-out, added in
-    position order; -inf at the first zero mass. state is assignment as a
-    list and index its mixed-radix index. Raises
-    DegenerateConditioningError where a leave-one-out state is impossible."""
-    total = 0.0
-    for j, (a, stride) in enumerate(zip(state, kept.strides)):
-        p, psum = kept.leave_one_out(assignment, j, index - a * stride)
-        mass = p[a] / psum
-        if mass <= 0.0:
-            return -math.inf
-        total += math.log2(mass)
-    return total
+    return kept.mutual_predictability(assignment, state, kept.index(state))
 
 
 def icm_hill_climb(
@@ -707,17 +718,7 @@ def icm_hill_climb(
             np.array([rng.integers(0, s) for s in core.sizes], dtype=np.int64)
         )
     kept = _KeptTables(core)
-    strides, scores = kept.strides, kept.bits
-
-    def score(assignment: np.ndarray, state: list[int], index: int) -> float:
-        value = scores.get(index)
-        if value is None:
-            try:
-                value = _mutual_predictability(kept, assignment, state, index)
-            except DegenerateConditioningError:
-                value = -math.inf
-            kept._keep(scores, index, value)
-        return value
+    strides, score = kept.strides, kept.score
 
     best_assignment = starts[0].copy()
     best_score = -math.inf

@@ -168,8 +168,10 @@ def _tempered_draw(p: np.ndarray, beta: float, rng: np.random.Generator) -> int:
 # Draw tables, leave-one-outs, seen keys and values per state a chain or
 # climb keeps of one kind before it drops them all: far above the 81
 # conditionals and 9 retained states of a 3x3x3 chain, and about 6 MB
-# (single-site) or under 1 MB (block) on a 40-context chain, whose states
-# never repeat.
+# (single-site) or under 0.5 MB (block) on a 40-context chain, whose states
+# never repeat. Also the widest covered space, in policies, whose block
+# chains keep retained states and coherences on first sight: in a space
+# of at most this many policies every key can come round again.
 _DRAW_TABLE_CAP = 4096
 # Steps whose draws gibbs_run converts to Python numbers at once.
 _STEP_BLOCK = 4096
@@ -197,11 +199,13 @@ class _KeptTables:
     core reads on a miss. gibbs_run looks its tables up inline before it
     calls conditional(). Each dict is dropped whenever _DRAW_TABLE_CAP
     entries are kept, which bounds its memory on chains whose states never
-    repeat. A block chain keeps a retained state only once its key comes
-    round a second time, so a wide chain, whose retained states never
-    repeat, holds the hash of each key instead of an entry. A conditional or
-    leave-one-out that raises is not kept and raises again on every later
-    visit. A chain validated its start, and every draw is in range, so these
+    repeat. Retained states and coherences are kept by one rule, chosen
+    from the covered space: on first sight where it has at most
+    _DRAW_TABLE_CAP policies, so that each is computed once; otherwise only
+    once a key comes round a second time, so that a wide chain, whose states
+    never repeat, holds the hash of each key instead of an entry. A
+    conditional or leave-one-out that raises is not kept and raises again on
+    every later visit. A chain validated its start, and every draw is in range, so these
     skip the assignment check of leave_one_out and coherence_bits.
     """
 
@@ -210,6 +214,8 @@ class _KeptTables:
         self.beta = beta
         sizes = core.sizes
         self.strides = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
+        # every state of a space within the cap can come round again
+        self.first_sight = math.prod(sizes) <= _DRAW_TABLE_CAP
         self.tables: dict = {}
         self.seen: dict = {}
         self.leave_one_outs: dict[int, tuple[list[float], float]] = {}
@@ -223,6 +229,19 @@ class _KeptTables:
         if len(kept) >= _DRAW_TABLE_CAP:
             kept.clear()
         kept[key] = value
+        return value
+
+    def _keep_seen(self, kept: dict, key, value):
+        """Keep value under key on first sight in a space within the cap,
+        otherwise only once key comes round a second time."""
+        if self.first_sight:
+            return self._keep(kept, key, value)
+        # a key's hash marks it seen: a collision only keeps an entry early
+        marker = hash(key)
+        if marker in self.seen:
+            self._keep(kept, key, value)
+        else:
+            self._keep(self.seen, marker, None)
         return value
 
     def conditional(
@@ -257,13 +276,7 @@ class _KeptTables:
             weights, _ = core.posterior_weights(
                 core.numerators(assignment, skip=resampled)
             )
-            retained = (weights, {})
-            # a key's hash marks it seen: a collision only keeps an entry early
-            marker = hash(key)
-            if marker in self.seen:
-                self._keep(self.tables, key, retained)
-            else:
-                self._keep(self.seen, marker, None)
+            retained = self._keep_seen(self.tables, key, (weights, {}))
         return retained
 
     def predictive(
@@ -323,11 +336,12 @@ class _KeptTables:
         return value
 
     def coherence(self, assignment: np.ndarray, index: int) -> float:
-        """core.coherence_from of the state, computed once per index."""
+        """core.coherence_from of the state, kept by index as _keep_seen
+        keeps."""
         value = self.bits.get(index)
         if value is None:
             core = self.core
-            value = self._keep(
+            value = self._keep_seen(
                 self.bits, index, core.coherence_from(core.numerators(assignment))
             )
         return value

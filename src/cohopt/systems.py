@@ -428,16 +428,20 @@ def _tempered_weights(p: np.ndarray, beta: float) -> np.ndarray:
     p itself at beta 1, otherwise scaled so the maximum is 1. At beta = +inf
     the indicator of the ties: entries within a factor 2^-1e-12 of the
     maximum (1e-12 bits), a rule that does not depend on the scale of p.
+    At finite beta, exp(beta·(log p − log max)) in one fresh array, each
+    ufunc in place: a zero mass has log −inf and so weight exactly 0.0,
+    with no mask.
     """
     if beta == 1.0:
         return p
     top = float(p.max())
     if math.isinf(beta):
         return (p >= top * 2.0 ** (-PROB_ATOL)).astype(np.float64)
-    out = np.zeros_like(p)
-    positive = p > 0
-    out[positive] = np.exp(beta * (np.log(p[positive]) - math.log(top)))
-    return out
+    with np.errstate(divide="ignore"):
+        out = np.log(p)
+    np.subtract(out, math.log(top), out=out)
+    np.multiply(beta, out, out=out)
+    return np.exp(out, out=out)
 
 
 def check_beta(beta: float, name: str = "beta") -> float:
@@ -868,14 +872,18 @@ def random_mixture_system(
 
     Dirichlet draws are almost surely strictly positive, so the resulting
     system passes the positivity check. Smaller emission concentration gives
-    more peaked rows and stronger cross-context coupling.
+    more peaked rows and stronger cross-context coupling. Each run of
+    consecutive contexts of one size is drawn in one call, which reads the
+    generator's stream as one call per context would.
     """
     if n_latents < 1:
         raise ValidationError(f"n_latents must be >= 1, got {n_latents}")
     weights = rng.dirichlet([1.0] * n_latents)
     weights = weights / weights.sum()
-    emissions = []
-    for size in partition.sizes:
-        rows = rng.dirichlet([emission_concentration] * size, size=n_latents)
-        emissions.append(rows / rows.sum(axis=1, keepdims=True))
+    emissions: list[np.ndarray] = []
+    for size, run in itertools.groupby(partition.sizes):
+        rows = rng.dirichlet(
+            [emission_concentration] * size, size=(len(list(run)), n_latents)
+        )
+        emissions.extend(rows / rows.sum(axis=-1, keepdims=True))
     return MixtureBayesSystem(partition, weights, emissions)

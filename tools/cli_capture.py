@@ -69,6 +69,23 @@ def commands() -> list[tuple[str, list[str], bool]]:
                 ["run", scenario, "--method", method, "--steps", "200", "--seed", "2", "--beta", "inf"],
                 True,
             ))
+        # finite beta other than 1: the tempered draw tables; the unsmoothed
+        # scenario's zero masses give rows with zero entries
+        tempered = [
+            ("2", method, ()) for method in ("gibbs", "tf-gibbs", "debate", "bootstrap")
+        ]
+        tempered += [
+            ("2", "tf-gibbs", ("--anchor-weight", "0.5")),
+            ("0.5", "gibbs", ()),
+            ("0.5", "tf-gibbs", ()),
+        ]
+        for beta, method, extra in tempered:
+            suffix = "-anchor0.5" if extra else ""
+            out.append((
+                f"{tag}-run-{method}{suffix}-beta-{beta}",
+                ["run", scenario, "--method", method, "--steps", "300", "--seed", "6", "--beta", beta, *extra],
+                True,
+            ))
         out.append((
             f"{tag}-run-bootstrap-order",
             ["run", scenario, "--method", "bootstrap", "--seed", "4", "--order", "fries,burger"],

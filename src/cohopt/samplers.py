@@ -205,8 +205,9 @@ class _KeptTables:
     once a key comes round a second time, so that a wide chain, whose states
     never repeat, holds the hash of each key instead of an entry. A
     conditional or leave-one-out that raises is not kept and raises again on
-    every later visit. A chain validated its start, and every draw is in range, so these
-    skip the assignment check of leave_one_out and coherence_bits.
+    every later visit. A chain validated its start, and every draw is in
+    range, so these skip the assignment check of leave_one_out and
+    coherence_bits.
     """
 
     def __init__(self, core: Conditioned, beta: float = 1.0) -> None:
@@ -336,8 +337,8 @@ class _KeptTables:
         return value
 
     def coherence(self, assignment: np.ndarray, index: int) -> float:
-        """core.coherence_from of the state, kept by index as _keep_seen
-        keeps."""
+        """core.coherence_from of the state, kept by its index under the
+        rule of _keep_seen."""
         value = self.bits.get(index)
         if value is None:
             core = self.core

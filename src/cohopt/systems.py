@@ -437,7 +437,12 @@ def _tempered_weights(p: np.ndarray, beta: float) -> np.ndarray:
     top = float(p.max())
     if math.isinf(beta):
         return (p >= top * 2.0 ** (-PROB_ATOL)).astype(np.float64)
-    with np.errstate(divide="ignore"):
+    # np.errstate costs about as much as this arithmetic on a short row, so
+    # it silences log's divide flag only where some mass is zero
+    if np.count_nonzero(p) < p.size:
+        with np.errstate(divide="ignore"):
+            out = np.log(p)
+    else:
         out = np.log(p)
     np.subtract(out, math.log(top), out=out)
     np.multiply(beta, out, out=out)

@@ -40,6 +40,7 @@ from .systems import (
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    _ties,
     check_beta,
     enumerate_policy_masses,
     generic_partition,
@@ -96,6 +97,27 @@ class Scenario:
         )
 
 
+def _draw_truth(masses: np.ndarray, truth_beta: float, u: float) -> int:
+    """The index that the uniform u picks from masses tempered by
+    truth_beta: the first whose cumulative tempered mass reaches u.
+
+    Never one of zero tempered mass: u = 0.0 picks the first entry of
+    positive mass, and u past the last cumulative value the last one. At
+    truth_beta = +inf only the ties are summed; the cumulative sum over
+    every entry is flat between them, so the pick is the same.
+    """
+    if math.isinf(truth_beta):
+        ties = np.flatnonzero(_ties(masses, float(masses.max())))
+        cum = np.cumsum(np.full(ties.size, 1.0 / ties.size))
+        return int(ties[min(int(np.searchsorted(cum, u)), ties.size - 1)])
+    tempered = temper(masses, truth_beta)
+    index = int(np.searchsorted(np.cumsum(tempered), u))
+    if u == 0.0 or index == masses.size:
+        positive = np.flatnonzero(tempered)
+        index = int(positive[0] if u == 0.0 else positive[-1])
+    return index
+
+
 def generate_scenario(
     n_contexts: int,
     context_size: int,
@@ -129,9 +151,7 @@ def generate_scenario(
         emission_concentration=emission_concentration,
     )
     masses = enumerate_policy_masses(system)
-    tempered = temper(masses, truth_beta)
-    truth_index = int(np.searchsorted(np.cumsum(tempered), rng.random()))
-    truth_index = min(truth_index, masses.size - 1)
+    truth_index = _draw_truth(masses, truth_beta, rng.random())
     assignment = list(partition.policy_at(truth_index).assignment)
     if label_noise > 0.0:
         for c in range(n_contexts):

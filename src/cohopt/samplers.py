@@ -26,6 +26,7 @@ from .systems import (
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    _BLOCK_ENTRIES,
     _check_cap,
     _tempered_weights,
     check_beta,
@@ -208,15 +209,30 @@ class _KeptTables:
     every later visit. A chain validated its start, and every draw is in
     range, so these skip the assignment check of leave_one_out and
     coherence_bits.
+
+    A miss reads its log numerators from the core's numerator table for its
+    skip, built on the first miss, where the skip is one position or none
+    and the table has at most _BLOCK_ENTRIES entries (a small covered
+    space); otherwise it folds them for its state alone.
+    Both give the same bits, and what a miss does with them is the same.
     """
 
     def __init__(self, core: Conditioned, beta: float = 1.0) -> None:
         self.core = core
         self.beta = beta
         sizes = core.sizes
+        count = math.prod(sizes)
         self.strides = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
         # every state of a space within the cap can come round again
-        self.first_sight = math.prod(sizes) <= _DRAW_TABLE_CAP
+        self.first_sight = count <= _DRAW_TABLE_CAP
+        # the skips, of one position or none, whose numerator tables fit the
+        # enumeration kernel's budget, and the tables built so far
+        rows = [((j,), count // size) for j, size in enumerate(sizes)]
+        self.foldable = {
+            skip for skip, n in [*rows, ((), count)]
+            if n * core.base.size <= _BLOCK_ENTRIES
+        }
+        self.folds: dict[tuple[int, ...], np.ndarray] = {}
         self.tables: dict = {}
         self.seen: dict = {}
         self.leave_one_outs: dict[int, tuple[list[float], float]] = {}
@@ -224,6 +240,25 @@ class _KeptTables:
 
     def index(self, state: Sequence[int]) -> int:
         return sum(a * s for a, s in zip(state, self.strides))
+
+    def numerators(
+        self, assignment: np.ndarray, skip: tuple[int, ...], rest: int
+    ) -> np.ndarray:
+        """core.numerators(assignment, skip), rest being the state's index
+        with the skipped positions zeroed: a row of the core's numerator
+        table for skip, built on first need, where skip is foldable;
+        otherwise folded for this state alone."""
+        table = self.folds.get(skip)
+        if table is None:
+            if skip not in self.foldable:
+                return self.core.numerators(assignment, skip)
+            table = self.folds[skip] = self.core.numerator_table(skip)
+        if skip:
+            # drop the skipped position's digit from the mixed-radix index
+            stride = self.strides[skip[0]]
+            high = stride * self.core.sizes[skip[0]]
+            rest = rest // high * stride + rest % stride
+        return table[rest]
 
     @staticmethod
     def _keep(kept: dict, key, value):
@@ -254,9 +289,8 @@ class _KeptTables:
         key = rest * len(self.strides) + position
         table = self.tables.get(key)
         if table is None:
-            core = self.core
-            p, top = core.predictive(
-                core.numerators(assignment, skip=(position,)), position
+            p, top = self.core.predictive(
+                self.numerators(assignment, (position,), rest), position
             )
             table = self._keep(
                 self.tables, key, (*_draw_table(p, self.beta), p.tolist(), top)
@@ -273,9 +307,8 @@ class _KeptTables:
         key = (resampled, rest)
         retained = self.tables.get(key)
         if retained is None:
-            core = self.core
-            weights, _ = core.posterior_weights(
-                core.numerators(assignment, skip=resampled)
+            weights, _ = self.core.posterior_weights(
+                self.numerators(assignment, resampled, rest)
             )
             retained = self._keep_seen(self.tables, key, (weights, {}))
         return retained
@@ -301,9 +334,8 @@ class _KeptTables:
         key = rest * len(self.strides) + position
         kept = self.leave_one_outs.get(key)
         if kept is None:
-            core = self.core
-            p, _ = core.predictive(
-                core.numerators(assignment, skip=(position,)), position
+            p, _ = self.core.predictive(
+                self.numerators(assignment, (position,), rest), position
             )
             kept = self._keep(self.leave_one_outs, key, (p.tolist(), float(p.sum())))
         return kept
@@ -341,9 +373,10 @@ class _KeptTables:
         rule of _keep_seen."""
         value = self.bits.get(index)
         if value is None:
-            core = self.core
             value = self._keep_seen(
-                self.bits, index, core.coherence_from(core.numerators(assignment))
+                self.bits,
+                index,
+                self.core.coherence_from(self.numerators(assignment, (), index)),
             )
         return value
 

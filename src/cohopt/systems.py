@@ -340,25 +340,25 @@ class MixtureBayesSystem:
                 f"{partition.n_contexts} contexts"
             )
         rows: list[np.ndarray] = []
-        for c, table in enumerate(emissions):
-            arr = np.array(table, dtype=np.float64, copy=True)
-            if arr.shape != (weights.size, partition.sizes[c]):
-                raise ValidationError(
-                    f"emissions[{c}] has shape {arr.shape}, expected "
-                    f"{(weights.size, partition.sizes[c])}"
-                )
-            if not np.all(np.isfinite(arr) & (arr >= 0)):
-                raise ValidationError(
-                    f"emissions[{c}] has negative or non-finite entries"
-                )
-            sums = arr.sum(axis=1)
-            bad = np.nonzero(np.abs(sums - 1.0) > PROB_ATOL)[0]
-            if bad.size:
-                raise ValidationError(
-                    f"emissions[{c}] row {bad[0]} sums to {sums[bad[0]]!r}, "
-                    f"expected 1 ± {PROB_ATOL}"
-                )
-            rows.append(arr)
+        # one stacked check per run of consecutive contexts of one size
+        for size, run in itertools.groupby(
+            range(partition.n_contexts), partition.sizes.__getitem__
+        ):
+            run = list(run)
+            tables: list[np.ndarray] = []
+            for c in run:
+                arr = np.array(emissions[c], dtype=np.float64, copy=True)
+                if arr.shape != (weights.size, size):
+                    # the contexts before c come first
+                    if tables:
+                        _check_emission_rows(np.array(tables), run[0])
+                    raise ValidationError(
+                        f"emissions[{c}] has shape {arr.shape}, expected "
+                        f"{(weights.size, size)}"
+                    )
+                tables.append(arr)
+            _check_emission_rows(np.array(tables), run[0])
+            rows.extend(tables)
         # systems are shared across concurrent evaluators; freeze the arrays
         weights.setflags(write=False)
         for arr in rows:
@@ -401,6 +401,29 @@ class MixtureBayesSystem:
         )
 
 
+def _check_emission_rows(block: np.ndarray, first: int) -> None:
+    """Raise ValidationError for the first context of a (contexts, latents,
+    behaviors) block, the first being context ``first``, that has a
+    negative or non-finite entry or a row not summing to 1, naming its
+    entries before its rows."""
+    valid = np.isfinite(block) & (block >= 0)
+    sums = block.sum(axis=-1)
+    off = np.abs(sums - 1.0) > PROB_ATOL
+    if valid.all() and not off.any():
+        return
+    entries = ~valid.all(axis=(1, 2))
+    c = int(np.flatnonzero(entries | off.any(axis=1))[0])
+    if entries[c]:
+        raise ValidationError(
+            f"emissions[{first + c}] has negative or non-finite entries"
+        )
+    row = int(np.flatnonzero(off[c])[0])
+    raise ValidationError(
+        f"emissions[{first + c}] row {row} sums to {sums[c, row]!r}, "
+        f"expected 1 ± {PROB_ATOL}"
+    )
+
+
 def infer(
     system: MixtureBayesSystem, state: PolicyState, context: int
 ) -> np.ndarray:
@@ -422,13 +445,19 @@ def infer(
     return predictive / float(predictive.sum())
 
 
+def _ties(p: np.ndarray, top: float) -> np.ndarray:
+    """The entries of p within a factor 2^-1e-12 of its maximum top (1e-12
+    bits): the support of p tempered at beta = +inf."""
+    return p >= top * 2.0 ** (-PROB_ATOL)
+
+
 def _tempered_weights(p: np.ndarray, beta: float) -> np.ndarray:
     """Unnormalized p^beta for masses p with a positive maximum.
 
     p itself at beta 1, otherwise scaled so the maximum is 1. At beta = +inf
     the indicator of the ties: entries within a factor 2^-1e-12 of the
-    maximum (1e-12 bits), a rule that does not depend on the scale of p.
-    At finite beta, exp(beta·(log p − log max)) in one fresh array, each
+    maximum (_ties), a rule that does not depend on the scale of p. At
+    finite beta, exp(beta·(log p − log max)) in one fresh array, each
     ufunc in place: a zero mass has log −inf and so weight exactly 0.0,
     with no mask.
     """
@@ -436,7 +465,7 @@ def _tempered_weights(p: np.ndarray, beta: float) -> np.ndarray:
         return p
     top = float(p.max())
     if math.isinf(beta):
-        return (p >= top * 2.0 ** (-PROB_ATOL)).astype(np.float64)
+        return _ties(p, top).astype(np.float64)
     # np.errstate costs about as much as this arithmetic on a short row, so
     # it silences log's divide flag only where some mass is zero
     if np.count_nonzero(p) < p.size:
@@ -666,7 +695,8 @@ class Conditioned:
     a zero row): log_emissions holds per-position views of it, extend() adds
     one of its rows, and numerators() stacks the prior's log numerators and
     one gathered row per position in buffers preallocated here, so a core
-    serves one caller at a time, as a run does. _check() is the one
+    serves one caller at a time, as a run does; numerator_table() folds the
+    numerators of every assignment at once. _check() is the one
     assignment check (validate(), coherence_bits() and leave_one_out() apply
     it), and posterior_weights() the one degeneracy check.
     """
@@ -748,6 +778,26 @@ class Conditioned:
         # mode="wrap" writes straight into the buffer; -1 is the zero row
         self._rows.take(index, axis=0, out=self._stack[1:], mode="wrap")
         return np.add.accumulate(self._stack, axis=0)[-1]
+
+    def numerator_table(self, skip: Collection[int] = ()) -> np.ndarray:
+        """numerators() of every assignment of the positions not in skip,
+        as one C-ordered (rows, latents) table whose rows are in mixed-radix
+        order over those positions (the first most significant).
+
+        The same left fold, base + r_0 + r_1 + ..., as one broadcast add of
+        whole row blocks per position in position order; a skipped position
+        adds nothing, which is what adding its zero row does (x + 0.0 == x).
+        So every row is bitwise numerators() of its assignment."""
+        latents = self.base.size
+        table = self.base[None].copy()
+        blocks = zip(self._offsets.tolist(), self.sizes)
+        for j, (offset, size) in enumerate(blocks):
+            if j in skip:
+                continue
+            grown = np.empty((table.shape[0], size, latents))
+            np.add(table[:, None], self._rows[offset : offset + size], out=grown)
+            table = grown.reshape(-1, latents)
+        return table
 
     def _check(self, assignment: Sequence[int]) -> None:
         """Raise ValidationError unless assignment holds one integer behavior

@@ -101,6 +101,13 @@ def commands() -> list[tuple[str, list[str], bool]]:
         ["equiv", "--lattice", "0,1,2,3", "--n-seeds", "2", "--n-contexts", "4", "--truth-beta", "inf"],
         True,
     ))
+    # past 4 contexts: both branches of the truth draw on a 3^8 space
+    for beta in ("inf", "2"):
+        out.append((
+            f"equiv-8-truth-beta-{beta}",
+            ["equiv", "--lattice", "0,2,4", "--n-seeds", "2", "--n-contexts", "8", "--truth-beta", beta],
+            True,
+        ))
     out.append(("mc", ["mc", "--trials", "200", "--seed", "1"], True))
     out.append(("check", ["check", "--cases", "20"], False))
     for name, args in BOUNDS.items():

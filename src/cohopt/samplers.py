@@ -213,11 +213,14 @@ class _KeptTables:
     A miss reads its log numerators from the core's numerator table for its
     skip, built on the first miss, where the skip is one position or none
     and the table has at most _BLOCK_ENTRIES entries (a small covered
-    space); otherwise it folds them for its state alone.
+    space); otherwise, or unless fold, it folds them for its state alone.
+    A one-off score, which misses each skip once, does not fold.
     Both give the same bits, and what a miss does with them is the same.
     """
 
-    def __init__(self, core: Conditioned, beta: float = 1.0) -> None:
+    def __init__(
+        self, core: Conditioned, beta: float = 1.0, fold: bool = True
+    ) -> None:
         self.core = core
         self.beta = beta
         sizes = core.sizes
@@ -226,11 +229,12 @@ class _KeptTables:
         # every state of a space within the cap can come round again
         self.first_sight = count <= _DRAW_TABLE_CAP
         # the skips, of one position or none, whose numerator tables fit the
-        # enumeration kernel's budget, and the tables built so far
+        # enumeration kernel's budget (none unless fold), and the tables
+        # built so far
         rows = [((j,), count // size) for j, size in enumerate(sizes)]
         self.foldable = {
             skip for skip, n in [*rows, ((), count)]
-            if n * core.base.size <= _BLOCK_ENTRIES
+            if fold and n * core.base.size <= _BLOCK_ENTRIES
         }
         self.folds: dict[tuple[int, ...], np.ndarray] = {}
         self.tables: dict = {}
@@ -725,7 +729,7 @@ def mutual_predictability(
     """
     core = Conditioned(system, prior, contexts)
     assignment = core.validate(policy)
-    kept = _KeptTables(core)
+    kept = _KeptTables(core, fold=False)
     state = assignment.tolist()
     return kept.mutual_predictability(assignment, state, kept.index(state))
 

@@ -156,6 +156,7 @@ def test_budget_and_key_rules():
     assert _KeptTables(wide).foldable == set()
     small = Conditioned(_mixture((3,) * 6, 2, 2))
     assert _KeptTables(small).foldable == set(_skips(6))
+    assert _KeptTables(small, fold=False).foldable == set()
     # two skipped positions have no table: the state is folded alone
     kept = _KeptTables(small)
     assignment = np.array([2, 1, 0, 2, 1, 1], dtype=np.int64)

@@ -213,9 +213,9 @@ class _KeptTables:
     A miss reads its log numerators from the core's numerator table for its
     skip, built on the first miss, where the skip is one position or none
     and the table has at most _BLOCK_ENTRIES entries (a small covered
-    space); otherwise, or unless fold, it folds them for its state alone.
-    A one-off score, which misses each skip once, does not fold.
-    Both give the same bits, and what a miss does with them is the same.
+    space). Otherwise, and unless fold, it folds them for its state alone:
+    a one-off score misses each skip once, so no table would pay for
+    itself. Both give the same bits, and a miss does the same with them.
     """
 
     def __init__(
@@ -231,11 +231,13 @@ class _KeptTables:
         # the skips, of one position or none, whose numerator tables fit the
         # enumeration kernel's budget (none unless fold), and the tables
         # built so far
-        rows = [((j,), count // size) for j, size in enumerate(sizes)]
-        self.foldable = {
-            skip for skip, n in [*rows, ((), count)]
-            if fold and n * core.base.size <= _BLOCK_ENTRIES
-        }
+        self.foldable: set[tuple[int, ...]] = set()
+        if fold:
+            rows = [((j,), count // size) for j, size in enumerate(sizes)]
+            self.foldable = {
+                skip for skip, n in [*rows, ((), count)]
+                if n * core.base.size <= _BLOCK_ENTRIES
+            }
         self.folds: dict[tuple[int, ...], np.ndarray] = {}
         self.tables: dict = {}
         self.seen: dict = {}

@@ -26,6 +26,7 @@ from .systems import (
     PolicyState,
     check_beta,
     infer,
+    state_of_policy,
     temper,
 )
 
@@ -263,12 +264,8 @@ def check_prior_encodes_samples(
     set_b = tuple(c for c in range(partition.n_contexts) if c not in set_a)
     pairs_a = [(c, policy.assignment[c]) for c in set_a]
     pairs_b = [(c, policy.assignment[c]) for c in set_b]
-    anchor_a = PolicyState.from_behaviors(
-        [partition.global_index(c, a) for c, a in pairs_b]
-    )
-    anchor_b = PolicyState.from_behaviors(
-        [partition.global_index(c, a) for c, a in pairs_a]
-    )
+    anchor_a = state_of_policy(partition, policy, set_b)
+    anchor_b = state_of_policy(partition, policy, set_a)
     left = _residual(
         [
             sequence_coherence(system, anchor_a, pairs_a).bits,

@@ -162,10 +162,6 @@ def _draw_cumulative(cum: list[float], weights: list[float], u: float) -> int:
     return idx
 
 
-def _tempered_draw(p: np.ndarray, beta: float, rng: np.random.Generator) -> int:
-    return _draw(_tempered_weights(p, beta), float(rng.random()))
-
-
 # Draw tables, leave-one-outs, seen keys and values per state a chain or
 # climb keeps of one kind before it drops them all: far above the 81
 # conditionals and 9 retained states of a 3x3x3 chain, and about 6 MB
@@ -440,7 +436,7 @@ def _start_chain(
         check_positivity
         and not math.isinf(config.beta)
         and math.prod(core.sizes) <= DEFAULT_ENUMERATION_CAP
-        and np.any(core.masses() <= 0.0)
+        and core.zero_mass_index() is not None
     ):
         warnings.warn(
             "positivity check failed: some policies have zero mass; the chain "
@@ -591,8 +587,9 @@ def debate_run(
             )
         state = np.zeros(2, dtype=np.int64)  # (pro, con)
         p = core.predictive(core.base, 0)[0]
-        state[0] = _tempered_draw(p, config.beta, rng)
-        state[1] = _tempered_draw(core.leave_one_out(state, 1)[0], config.beta, rng)
+        state[0] = _draw_cumulative(*_draw_table(p, config.beta), rng.random())
+        p = core.leave_one_out(state, 1)[0]
+        state[1] = _draw_cumulative(*_draw_table(p, config.beta), rng.random())
         return state
 
     core, rng, trajectory, coherence_bits = _start_chain(

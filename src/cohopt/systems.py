@@ -6,11 +6,12 @@ emission row per (latent, context). Conditioning a policy state (a multiset of
 observed behaviors) multiplies per-latent likelihoods; the predictive
 distribution for a context is the posterior-weighted average of emission rows.
 All likelihood products are accumulated in natural-log space (zeros become
--inf); masses below exp(-745) underflow to exactly 0 and are treated as zero.
+-inf); positivity is decided on supports, since linear tables underflow.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Collection, Iterator, Mapping, Sequence
@@ -121,10 +122,8 @@ class ContextPartition:
         """Inverse of :meth:`global_index`: (context, local behavior)."""
         if not 0 <= global_index < self.n_behaviors:
             raise ValidationError(f"behavior index {global_index} out of range")
-        for c in range(self.n_contexts):
-            if global_index < self._offsets[c + 1]:
-                return c, global_index - self._offsets[c]
-        raise AssertionError("unreachable")
+        c = bisect.bisect_right(self._offsets, global_index) - 1
+        return c, global_index - self._offsets[c]
 
     def locate_name(self, name: str) -> tuple[int, int]:
         try:
@@ -451,8 +450,8 @@ def _ties(p: np.ndarray, top: float) -> np.ndarray:
     return p >= top * 2.0 ** (-PROB_ATOL)
 
 
-def _tempered_weights(p: np.ndarray, beta: float) -> np.ndarray:
-    """Unnormalized p^beta for masses p with a positive maximum.
+def _tempered_weights(p: np.ndarray, beta: float, top=None) -> np.ndarray:
+    """Unnormalized p^beta for masses p with a positive maximum (top if given).
 
     p itself at beta 1, otherwise scaled so the maximum is 1. At beta = +inf
     the indicator of the ties: entries within a factor 2^-1e-12 of the
@@ -463,7 +462,7 @@ def _tempered_weights(p: np.ndarray, beta: float) -> np.ndarray:
     """
     if beta == 1.0:
         return p
-    top = float(p.max())
+    top = float(p.max()) if top is None else top
     if math.isinf(beta):
         return _ties(p, top).astype(np.float64)
     # np.errstate costs about as much as this arithmetic on a short row, so
@@ -490,15 +489,18 @@ def temper(probabilities: np.ndarray, beta: float) -> np.ndarray:
     """Apply p -> p^beta to every mass and re-normalize.
 
     beta may be +inf: uniform over the entries within 1e-12 bits of the
-    maximum.
+    maximum. Raises ValidationError for a negative, NaN or infinite mass.
     """
     check_beta(beta)
     p = np.asarray(probabilities, dtype=np.float64)
-    if float(p.max()) <= 0.0:
+    top = float(p.max())
+    if not (float(p.min()) >= 0.0 and top < math.inf):
+        raise ValidationError("masses to temper must be finite and non-negative")
+    if top <= 0.0:
         raise DegenerateConditioningError(
             "degenerate conditioning: all masses zero after tempering"
         )
-    weights = _tempered_weights(p, beta)
+    weights = _tempered_weights(p, beta, top)
     return weights / weights.sum()
 
 
@@ -875,6 +877,22 @@ class Conditioned:
         )
         return masses / masses.sum()
 
+    def zero_mass_index(self, cap: int = DEFAULT_ENUMERATION_CAP) -> int | None:
+        """Index, in masses() order, of the first sub-policy of zero mass, or
+        None. Decided on supports, which cannot underflow: a sub-policy has
+        mass iff some latent with base > -inf has a nonzero emission at every
+        position. A live latent with no zero emission settles it (a Dirichlet
+        system); otherwise the enumerator counts such latents on 0/1 tables."""
+        _check_cap(math.prod(self.sizes), cap)
+        logs = np.concatenate([self.base[:, None], *self.log_emissions], axis=1)
+        if logs.min(axis=1).max() > -math.inf:
+            return None
+        live = self.base > -math.inf
+        ones = [(table > 0.0).astype(np.float64) for table in self.emissions]
+        counts = _enumerate_masses(live.astype(np.float64), ones, self.sizes, cap)
+        index = int(counts.argmin())
+        return index if counts[index] == 0.0 else None
+
 
 @dataclass(frozen=True)
 class ErgodicityReport:
@@ -882,8 +900,8 @@ class ErgodicityReport:
 
     positive=True means every d-policy has strictly positive joint mass,
     which implies single-coordinate Gibbs moves can reach every policy.
-    positive=False only means the positivity check failed; the witness is a
-    zero-mass d-policy.
+    positive=False means some d-policy has zero mass, decided on supports (an
+    underflowing mass is positive); the witness is the first such policy.
     """
 
     positive: bool
@@ -896,14 +914,11 @@ class ErgodicityReport:
 def check_ergodicity(
     system: MixtureBayesSystem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ErgodicityReport:
-    """Positivity check over the enumerated d-policy space."""
-    masses = enumerate_policy_masses(system, cap=cap)
-    zero = np.nonzero(masses <= 0.0)[0]
-    if zero.size == 0:
+    """Positivity check over the d-policy space (Conditioned.zero_mass_index)."""
+    index = Conditioned(system).zero_mass_index(cap)
+    if index is None:
         return ErgodicityReport(positive=True)
-    return ErgodicityReport(
-        positive=False, witness=system.partition.policy_at(int(zero[0]))
-    )
+    return ErgodicityReport(positive=False, witness=system.partition.policy_at(index))
 
 
 def generic_partition(sizes: Sequence[int]) -> ContextPartition:
@@ -925,11 +940,11 @@ def random_mixture_system(
     """Mixture with flat-Dirichlet latent weights and Dirichlet-drawn emission
     rows.
 
-    Dirichlet draws are almost surely strictly positive, so the resulting
-    system passes the positivity check. Smaller emission concentration gives
-    more peaked rows and stronger cross-context coupling. Each run of
-    consecutive contexts of one size is drawn in one call, which reads the
-    generator's stream as one call per context would.
+    Dirichlet draws are almost surely strictly positive, so the system passes
+    the positivity check without an enumeration. Smaller emission
+    concentration gives more peaked rows and stronger cross-context coupling.
+    Each run of consecutive contexts of one size is drawn in one call, which
+    reads the generator's stream as one call per context would.
     """
     if n_latents < 1:
         raise ValidationError(f"n_latents must be >= 1, got {n_latents}")

@@ -35,11 +35,13 @@ from .samplers import (
     training_friendly_gibbs_run,
 )
 from .systems import (
+    _BLOCK_ENTRIES,
     DEFAULT_ENUMERATION_CAP,
     Conditioned,
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    _tie_search,
     _ties,
     check_beta,
     enumerate_policy_masses,
@@ -107,15 +109,44 @@ def _draw_truth(masses: np.ndarray, truth_beta: float, u: float) -> int:
     every entry is flat between them, so the pick is the same.
     """
     if math.isinf(truth_beta):
-        ties = np.flatnonzero(_ties(masses, float(masses.max())))
-        cum = np.cumsum(np.full(ties.size, 1.0 / ties.size))
-        return int(ties[min(int(np.searchsorted(cum, u)), ties.size - 1)])
+        return _pick_tie(np.flatnonzero(_ties(masses, float(masses.max()))), u)
     tempered = temper(masses, truth_beta)
     index = int(np.searchsorted(np.cumsum(tempered), u))
     if u == 0.0 or index == masses.size:
         positive = np.flatnonzero(tempered)
         index = int(positive[0] if u == 0.0 else positive[-1])
     return index
+
+
+def _pick_tie(ties: np.ndarray, u: float) -> int:
+    """_draw_truth at truth_beta = +inf, given the ascending indices of the
+    ties: the first whose cumulative share 1/len(ties) reaches u."""
+    cum = np.cumsum(np.full(ties.size, 1.0 / ties.size))
+    return int(ties[min(int(np.searchsorted(cum, u)), ties.size - 1)])
+
+
+def _truth_index(
+    system: MixtureBayesSystem, truth_beta: float, rng: np.random.Generator
+) -> int:
+    """The ground truth's policy index, drawn with one rng.random().
+
+    At truth_beta = +inf, where the enumeration would outgrow the kernel's
+    block (policies × latents of nonzero weight > _BLOCK_ENTRIES), the ties
+    come from _tie_search: the same ties, so the same pick. Smaller spaces,
+    finite truth_beta and a search that cannot decide enumerate every mass.
+    """
+    partition = system.partition
+    live = np.count_nonzero(system.latent_weights)
+    if math.isinf(truth_beta) and partition.policy_count() * live > _BLOCK_ENTRIES:
+        ties = _tie_search(
+            system.latent_weights,
+            [system.emissions(c) for c in range(partition.n_contexts)],
+            partition.sizes,
+            DEFAULT_ENUMERATION_CAP,
+        )
+        if ties is not None:
+            return _pick_tie(ties, rng.random())
+    return _draw_truth(enumerate_policy_masses(system), truth_beta, rng.random())
 
 
 def generate_scenario(
@@ -150,9 +181,8 @@ def generate_scenario(
         rng,
         emission_concentration=emission_concentration,
     )
-    masses = enumerate_policy_masses(system)
-    truth_index = _draw_truth(masses, truth_beta, rng.random())
-    assignment = list(partition.policy_at(truth_index).assignment)
+    truth = partition.policy_at(_truth_index(system, truth_beta, rng))
+    assignment = list(truth.assignment)
     if label_noise > 0.0:
         for c in range(n_contexts):
             if rng.random() < label_noise:

@@ -28,6 +28,7 @@ from .systems import (
     PolicyState,
     _BLOCK_ENTRIES,
     _check_cap,
+    _temper_masses,
     _tempered_weights,
     check_beta,
     temper,
@@ -694,13 +695,16 @@ def bootstrap_exact_distribution(
     _check_cap(math.prod(core.sizes), cap)
     if k == 0:  # the empty assignment is the only outcome
         return PolicyDistribution(masses=np.ones(1), provenance="custom", sizes=())
+    check_beta(beta)
     sizes = [core.sizes[j] for j in order]
     masses = np.zeros(math.prod(sizes))  # indexed in visiting order
     stack = [(0, core.base, 1.0, 0)]  # (level, numerators, mass, prefix index)
     while stack:
         level, numerators, mass, index = stack.pop()
         j = order[level]
-        steps = temper(core.predictive(numerators, j)[0], beta)
+        # predictive masses are finite and non-negative: no input check
+        p = core.predictive(numerators, j)[0]
+        steps = _temper_masses(p, beta, float(p.max()))
         index *= sizes[level]
         if level == k - 1:
             masses[index : index + sizes[level]] = mass * steps

@@ -35,6 +35,12 @@ _BLOCK_ENTRIES = 1 << 16
 # (_add_block): a broadcast multiply starts numpy's inner loop once per
 # entry, and about this many starts cost as much as one call per behavior
 _COLUMN_ENTRIES = 512
+# relative slack of _tie_search's prune test, far above the rounding of k
+# products and a sum over the latents (about k + latents ulps), and the
+# smallest floor it decides on: products below it may lose their relative
+# precision to underflow
+_TIE_SLACK = 2.0**-24
+_TIE_FLOOR = 2.0**-1022 / _TIE_SLACK
 
 __all__ = [
     "ContextPartition",
@@ -496,6 +502,12 @@ def temper(probabilities: np.ndarray, beta: float) -> np.ndarray:
     top = float(p.max())
     if not (float(p.min()) >= 0.0 and top < math.inf):
         raise ValidationError("masses to temper must be finite and non-negative")
+    return _temper_masses(p, beta, top)
+
+
+def _temper_masses(p: np.ndarray, beta: float, top: float) -> np.ndarray:
+    """temper() of masses p known to be finite and non-negative, with
+    maximum top, at a checked beta: no input check."""
     if top <= 0.0:
         raise DegenerateConditioningError(
             "degenerate conditioning: all masses zero after tempering"
@@ -660,6 +672,75 @@ def _add_block(
         level = grown.reshape(block, -1, 1)
     for row in level[:, :, 0]:
         masses += row
+
+
+def _tie_search(
+    weights: np.ndarray,
+    emissions: Sequence[np.ndarray],
+    sizes: Sequence[int],
+    cap: int,
+) -> np.ndarray | None:
+    """Ascending indices of the policies whose _enumerate_masses mass passes
+    _ties against the largest, found by a branch-and-bound search over
+    positions, or None where the search cannot decide.
+
+    A level holds, per surviving prefix, each latent's partial product
+    w_θ·e₀·…·e_{j-1} (the same multiplies in the same order as the kernel's
+    level, so bitwise its values) and the prefix's index. A prefix's bound
+    is Σ_θ partial_θ · Π_{i≥j} max_a e_i[θ, a]; lower is the kernel mass of
+    each latent's argmax policy, the largest of them, and a prefix is pruned
+    where bound·(1 + _TIE_SLACK) < lower·2^-1e-12. At the leaves the
+    products are added in latent order from 0.0, as the kernel adds them,
+    and _ties picks from those sums.
+
+    No tie is pruned. A rounded product is monotone in each factor, so a
+    completion's kernel product of latent θ is at most the product of its
+    partial product with the row maxima, rounded left to right. That and the
+    computed bound both lie within about k + latents rounding errors of the
+    exact Σ_θ partial_θ·Π max, and _TIE_SLACK is far above that. A floor of
+    at least _TIE_FLOOR keeps the absolute error of products that underflow
+    (at most 2^-1075 each) as far below it. So every completion of a pruned
+    prefix has kernel mass below lower·2^-1e-12, which is at most the
+    maximum M times 2^-1e-12, the _ties threshold; the argmax itself is
+    never pruned, so the leaves hold M.
+
+    Returns None where the floor lower·2^-1e-12 is below _TIE_FLOOR, and
+    where a level would hold more than _BLOCK_ENTRIES entries, the kernel's
+    own memory bound (near-uniform systems prune too little).
+    """
+    _check_cap(math.prod(sizes), cap)
+    latents = np.flatnonzero(weights)
+    live = weights[latents]
+    tables = [table[latents] for table in emissions]
+    # suffix[j]: per latent, the product of its row maxima from position j on
+    suffix = [np.ones(live.size)]
+    for table in reversed(tables):
+        suffix.append(suffix[-1] * table.max(axis=1))
+    suffix.reverse()
+    # row t: the kernel products of latent t's argmax policy, per latent
+    argmax = live[None].repeat(live.size, axis=0)
+    for table in tables:
+        argmax *= table[:, table.argmax(axis=1)].T
+    lower = np.zeros(live.size)
+    for column in argmax.T:
+        lower += column
+    floor = float(lower.max()) * 2.0 ** (-PROB_ATOL)
+    if not floor >= _TIE_FLOOR:
+        return None
+    level = live[None]
+    index = np.zeros(1, dtype=np.int64)
+    for j, table in enumerate(tables):
+        size = table.shape[1]
+        if level.size * size > _BLOCK_ENTRIES:
+            return None
+        level = (level[:, None] * table.T).reshape(-1, live.size)
+        index = (index[:, None] * size + np.arange(size)).ravel()
+        keep = np.flatnonzero((level @ suffix[j + 1]) * (1.0 + _TIE_SLACK) >= floor)
+        level, index = level[keep], index[keep]
+    masses = np.zeros(index.size)
+    for column in level.T:
+        masses += column
+    return index[_ties(masses, float(masses.max()))]
 
 
 def enumerate_policy_masses(
@@ -879,19 +960,37 @@ class Conditioned:
 
     def zero_mass_index(self, cap: int = DEFAULT_ENUMERATION_CAP) -> int | None:
         """Index, in masses() order, of the first sub-policy of zero mass, or
-        None. Decided on supports, which cannot underflow: a sub-policy has
-        mass iff some latent with base > -inf has a nonzero emission at every
-        position. A live latent with no zero emission settles it (a Dirichlet
-        system); otherwise the enumerator counts such latents on 0/1 tables."""
-        _check_cap(math.prod(self.sizes), cap)
-        logs = np.concatenate([self.base[:, None], *self.log_emissions], axis=1)
-        if logs.min(axis=1).max() > -math.inf:
-            return None
-        live = self.base > -math.inf
-        ones = [(table > 0.0).astype(np.float64) for table in self.emissions]
-        counts = _enumerate_masses(live.astype(np.float64), ones, self.sizes, cap)
-        index = int(counts.argmin())
-        return index if counts[index] == 0.0 else None
+        None (_zero_mass_index)."""
+        return _zero_mass_index(
+            self.base, self.log_emissions, self.emissions, self.sizes, cap
+        )
+
+
+def _zero_mass_index(
+    base: np.ndarray,
+    log_tables: Sequence[np.ndarray],
+    emissions: Sequence[np.ndarray],
+    sizes: Sequence[int],
+    cap: int,
+) -> int | None:
+    """Index of the first policy of zero mass over the positions of
+    emissions, given per-latent log numerators base, or None; log_tables
+    hold the logs of the emissions as (latents, behaviors) tables, in any
+    grouping of the positions.
+
+    Decided on supports, which cannot underflow: a policy has mass iff some
+    latent with base > -inf has a nonzero emission at every position. A
+    live latent with no zero emission settles it (a Dirichlet system);
+    otherwise the enumerator counts such latents on 0/1 tables."""
+    _check_cap(math.prod(sizes), cap)
+    logs = np.concatenate([base[:, None], *log_tables], axis=1)
+    if logs.min(axis=1).max() > -math.inf:
+        return None
+    live = base > -math.inf
+    ones = [(table > 0.0).astype(np.float64) for table in emissions]
+    counts = _enumerate_masses(live.astype(np.float64), ones, sizes, cap)
+    index = int(counts.argmin())
+    return index if counts[index] == 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -914,11 +1013,19 @@ class ErgodicityReport:
 def check_ergodicity(
     system: MixtureBayesSystem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ErgodicityReport:
-    """Positivity check over the d-policy space (Conditioned.zero_mass_index)."""
-    index = Conditioned(system).zero_mass_index(cap)
+    """Positivity check over the d-policy space (_zero_mass_index, the
+    check of Conditioned.zero_mass_index, on the system's own tables)."""
+    partition = system.partition
+    index = _zero_mass_index(
+        system._log_weights,
+        [system._log_emission_rows[:-1].T],
+        system._emissions,
+        partition.sizes,
+        cap,
+    )
     if index is None:
         return ErgodicityReport(positive=True)
-    return ErgodicityReport(positive=False, witness=system.partition.policy_at(index))
+    return ErgodicityReport(positive=False, witness=partition.policy_at(index))
 
 
 def generic_partition(sizes: Sequence[int]) -> ContextPartition:

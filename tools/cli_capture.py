@@ -108,6 +108,13 @@ def commands() -> list[tuple[str, list[str], bool]]:
             ["equiv", "--lattice", "0,2,4", "--n-seeds", "2", "--n-contexts", "8", "--truth-beta", beta],
             True,
         ))
+    # 3^11 policies × 2 latents outgrow one enumeration block: the beta = inf
+    # truth comes from the pruned tie search
+    out.append((
+        "equiv-11-truth-beta-inf",
+        ["equiv", "--lattice", "1,6", "--n-seeds", "2", "--n-contexts", "11", "--truth-beta", "inf"],
+        True,
+    ))
     out.append(("mc", ["mc", "--trials", "200", "--seed", "1"], True))
     out.append(("check", ["check", "--cases", "20"], False))
     for name, args in BOUNDS.items():

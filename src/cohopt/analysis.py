@@ -14,6 +14,7 @@ convention used.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -32,9 +33,10 @@ from .systems import (
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
-    enumerate_policy_masses,
+    _check_mixtures,
+    _draw_mixture,
+    _enumerate_masses,
     generic_partition,
-    random_mixture_system,
 )
 
 LOG2_E = math.log2(math.e)
@@ -46,6 +48,9 @@ TRIAL_EMISSION_CONCENTRATION = 1.0
 # in a signed machine word
 MAX_TRIALS = 2**32 - 1
 MAX_TRAIN_DRAWS = sys.maxsize // 8
+# trials per stacked chunk: about as fast as one stack of every trial, at a
+# small fraction of its memory
+_TRIAL_CHUNK = 64
 
 __all__ = [
     "BoundReport",
@@ -356,8 +361,9 @@ def _srm_pick(
     alpha_train: np.ndarray | None,
     n_train: int,
     log_term: float,
-) -> int:
-    """Position of the regularized-selection winner in a pool.
+) -> np.ndarray:
+    """Position of the regularized-selection winner in a pool, or in each
+    pool of a stack (leading axes, pools along the last).
 
     The objective is training accuracy minus the corrected-sign
     description-length regularizer, its radicand clamped at 0, or chi itself
@@ -368,7 +374,8 @@ def _srm_pick(
     if alpha_train is not None:
         radicand = _regularizer_radicand(_gap(chi), log_term, n_train)
         objective = alpha_train - np.sqrt(np.maximum(radicand, 0.0))
-    return int(np.lexsort((np.arange(chi.size), -chi, -objective))[0])
+    order = np.broadcast_to(np.arange(chi.shape[-1]), chi.shape)
+    return np.lexsort((order, -chi, -objective))[..., 0]
 
 
 def distribution_entropy(q: PolicyDistribution) -> float:
@@ -542,43 +549,68 @@ def bound_validity_trials(
     then check |accuracy - training accuracy| <= bound for every policy
     simultaneously. violated uses the corrected sign; violated_paper reports
     the printed-sign variant, where a negative radicand counts as a
-    violation. Counts past MAX_TRIALS or MAX_TRAIN_DRAWS raise
-    ValidationError before anything is spawned or drawn.
+    violation. Counts that are not integers, or past MAX_TRIALS or
+    MAX_TRAIN_DRAWS, raise ValidationError before anything is spawned or
+    drawn.
+
+    Trials run in chunks of _TRIAL_CHUNK. Each trial's generator makes its
+    draws in order (the system, the truth's uniform, the training contexts);
+    everything else runs once per chunk on stacked (trials, policies)
+    arrays: the constructor's checks, the enumeration kernel, the truth pick
+    and the bounds. Each row is bitwise the row a trial computed alone would
+    give.
     """
+    counts = []
     for name, n, limit in (
         ("n_trials", n_trials, MAX_TRIALS),
         ("n_train", n_train, MAX_TRAIN_DRAWS),
     ):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValidationError(f"{name} must be an integer, got {n!r}") from None
         _check_count(n, name)
         if n > limit:
             raise ValidationError(f"{name} must be at most {limit}, got {n}")
+        counts.append(n)
+    n_trials, n_train = counts
     log_term = _log_delta_term(delta)
     k = len(TRIAL_SIZES)
     count = math.prod(TRIAL_SIZES)
     partition = generic_partition(TRIAL_SIZES)
     coords = np.array(np.unravel_index(np.arange(count), TRIAL_SIZES))
-    streams = np.random.SeedSequence(seed).spawn(n_trials)
+    # spawning in chunks gives the children one spawn(n_trials) would
+    parent = np.random.SeedSequence(seed)
     rows: list[TrialRow] = []
-    for i, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        system = random_mixture_system(
-            partition,
-            TRIAL_LATENTS,
-            rng,
-            emission_concentration=TRIAL_EMISSION_CONCENTRATION,
+    for first in range(0, n_trials, _TRIAL_CHUNK):
+        weights, tables, uniforms, contexts = [], [], [], []
+        for stream in parent.spawn(min(_TRIAL_CHUNK, n_trials - first)):
+            rng = np.random.default_rng(stream)
+            w, e = _draw_mixture(
+                TRIAL_SIZES, TRIAL_LATENTS, rng, TRIAL_EMISSION_CONCENTRATION
+            )
+            weights.append(w)
+            tables.append(e)
+            uniforms.append(rng.random())
+            draws = rng.integers(0, k, size=n_train)
+            contexts.append(np.bincount(draws, minlength=k))
+        weights = np.array(weights)
+        emissions = [np.array(column) for column in zip(*tables)]
+        _check_mixtures(partition, weights, emissions)
+        masses = _enumerate_masses(
+            weights, emissions, TRIAL_SIZES, DEFAULT_ENUMERATION_CAP
         )
-        masses = enumerate_policy_masses(system)
-        truth_index = int(
-            np.searchsorted(np.cumsum(masses), rng.random() * masses.sum())
-        )
-        truth_index = min(truth_index, count - 1)
-        truth = coords[:, truth_index]
+        trial = np.arange(len(masses))
 
-        draws = rng.integers(0, k, size=n_train)
-        match = coords == truth[:, None]  # (k, count)
-        alpha_true = match.mean(axis=0)
-        counts_per_context = np.bincount(draws, minlength=k).astype(np.float64)
-        alpha_train = (counts_per_context @ match) / n_train
+        # the truth: searchsorted's left side on each row's cumulative sum
+        target = np.array(uniforms) * masses.sum(axis=-1)
+        below = np.cumsum(masses, axis=-1) < target[:, None]
+        truth_index = np.minimum(below.sum(axis=-1), count - 1)
+        match = coords == coords[:, truth_index].T[:, :, None]  # (trials, k, count)
+        alpha_true = match.mean(axis=1)
+        # counts times 0 or 1, summed: exact integers in any order
+        counts_per_context = np.array(contexts, dtype=np.float64)[:, None]
+        alpha_train = (counts_per_context @ match)[:, 0] / n_train
 
         chi = np.log2(masses)
         gaps = np.abs(alpha_true - alpha_train)
@@ -590,26 +622,24 @@ def bound_validity_trials(
             bound_paper = np.sqrt(
                 _regularizer_radicand(policy_gaps, -log_term, n_train)
             )
-        worst = int(np.argmax(gaps))
-        violated = bool(np.any(gaps > bound_corrected))
-        violated_paper = bool(
-            np.any(gaps > np.where(np.isnan(bound_paper), -np.inf, bound_paper))
+        worst = np.argmax(gaps, axis=-1)
+        violated = np.any(gaps > bound_corrected, axis=-1)
+        violated_paper = np.any(
+            gaps > np.where(np.isnan(bound_paper), -np.inf, bound_paper), axis=-1
         )
 
         picked = _srm_pick(chi, alpha_train, n_train, log_term)
-        gap_truth = float(policy_gaps[truth_index])
-        floor = 1.0 - math.sqrt(_floor_radicand(gap_truth, log_term, n_train))
-        srm_accuracy = float(alpha_true[picked])
-        rows.append(
-            TrialRow(
-                seed=i,
-                violated=violated,
-                max_gap=float(gaps[worst]),
-                bound_at_max=float(bound_corrected[worst]),
-                violated_paper=violated_paper,
-                srm_accuracy=srm_accuracy,
-                accuracy_floor=floor,
-                srm_violated=bool(srm_accuracy < floor),
-            )
+        gap_truth = policy_gaps[trial, truth_index]
+        floor = 1.0 - np.sqrt(_floor_radicand(gap_truth, log_term, n_train))
+        srm_accuracy = alpha_true[trial, picked]
+        columns = zip(
+            violated.tolist(),
+            gaps[trial, worst].tolist(),
+            bound_corrected[trial, worst].tolist(),
+            violated_paper.tolist(),
+            srm_accuracy.tolist(),
+            floor.tolist(),
+            (srm_accuracy < floor).tolist(),
         )
+        rows.extend(TrialRow(first + i, *row) for i, row in enumerate(columns))
     return rows

@@ -620,21 +620,32 @@ def _enumerate_masses(
     """Σ_θ weights_θ · Π_j emissions[j][θ, π(j)] for every π in the
     mixed-radix space of sizes (position 0 most significant).
 
+    A stack of systems over one partition takes one call: weights of shape
+    (..., latents) and tables of shape (..., latents, size) with the same
+    leading axes give masses of shape (..., count), each system's bitwise
+    what its own call gives. A latent is skipped only where every system
+    gives it zero weight; elsewhere its zero weight adds a zero product,
+    which leaves every total as it was (the tables are finite).
+
     The latents of nonzero weight are taken in blocks of about
-    _BLOCK_ENTRIES // count (at least one), and each block's rows are added
-    into one total in latent order (see _add_block). A block slices the
-    tables when every latent has nonzero weight and indexes them otherwise.
-    Memory therefore stays at the total plus one block's widest level, about
-    max(count, _BLOCK_ENTRIES) entries, whatever the number of latents.
+    _BLOCK_ENTRIES // (systems · count) (at least one), and each block's
+    rows are added into one total in latent order (see _add_block). A block
+    slices the tables when every latent has nonzero weight and indexes them
+    otherwise. Memory therefore stays at the total plus one block's widest
+    level, about max(systems · count, _BLOCK_ENTRIES) entries, whatever the
+    number of latents.
     """
     count = math.prod(sizes)
     _check_cap(count, cap)
     # a total started from zeros, not from the first row, holds 0.0 where
     # every latent's product is -0.0
-    masses = np.zeros(count)
-    latents = np.flatnonzero(weights)
-    every = latents.size == weights.size
-    step = max(1, _BLOCK_ENTRIES // count)
+    masses = np.zeros((*weights.shape[:-1], count))
+    live = weights
+    if weights.ndim > 1:
+        live = weights.reshape(-1, weights.shape[-1]).any(axis=0)
+    latents = live.nonzero()[0]
+    every = latents.size == live.size
+    step = max(1, _BLOCK_ENTRIES // masses.size)
     for start in range(0, latents.size, step):
         block = (
             slice(start, start + step) if every else latents[start : start + step]
@@ -650,28 +661,31 @@ def _add_block(
     latents: slice | np.ndarray,
 ) -> None:
     """Add to masses the table w_θ·e₀[θ, π(0)]·e₁[θ, π(1)]·… of each latent θ
-    of the block, multiplied left to right and added in latent order.
+    of the block, multiplied left to right and added in latent order, for
+    every system of the stack (the leading axes, if any).
 
     Level j holds one row per latent over the first j positions, as a
-    (latents, width, 1) array. A level of at least _COLUMN_ENTRIES entries
-    grows by one multiply per behavior, written into its column of the next
-    level, so numpy's inner loop runs over whole rows; a smaller level grows
-    by one broadcast multiply. Each level is dropped once the next is built,
+    (..., latents, width, 1) array. A level of at least _COLUMN_ENTRIES
+    entries, the stack's included, grows by one multiply per behavior,
+    written into its column of the next level, so numpy's inner loop runs
+    over whole rows; a smaller level grows by one broadcast multiply. Both
+    make the same products. Each level is dropped once the next is built,
     and the last one when this frame ends, before the next block starts.
     """
-    level = weights[latents, None, None]
-    block = level.shape[0]
+    level = weights[..., latents, None, None]
+    shape = (*level.shape[:-2], -1, 1)
     for table in emissions:
-        rows = table[latents, None]
+        rows = table[..., latents, None, :]
         if level.size >= _COLUMN_ENTRIES:
-            grown = np.empty((block, level.shape[1], rows.shape[2]))
-            for a in range(rows.shape[2]):
-                np.multiply(level, rows[:, :, a : a + 1], out=grown[:, :, a : a + 1])
+            grown = np.empty((*level.shape[:-1], rows.shape[-1]))
+            for a in range(rows.shape[-1]):
+                np.multiply(level, rows[..., a : a + 1], out=grown[..., a : a + 1])
         else:
             grown = np.multiply(level, rows)
-        level = grown.reshape(block, -1, 1)
-    for row in level[:, :, 0]:
-        masses += row
+        level = grown.reshape(shape)
+    level = level[..., 0]
+    for t in range(level.shape[-2]):
+        masses += level[..., t, :]
 
 
 def _tie_search(
@@ -1045,22 +1059,58 @@ def random_mixture_system(
     emission_concentration: float = 1.0,
 ) -> MixtureBayesSystem:
     """Mixture with flat-Dirichlet latent weights and Dirichlet-drawn emission
-    rows.
+    rows (_draw_mixture).
 
     Dirichlet draws are almost surely strictly positive, so the system passes
     the positivity check without an enumeration. Smaller emission
     concentration gives more peaked rows and stronger cross-context coupling.
-    Each run of consecutive contexts of one size is drawn in one call, which
-    reads the generator's stream as one call per context would.
     """
     if n_latents < 1:
         raise ValidationError(f"n_latents must be >= 1, got {n_latents}")
+    weights, emissions = _draw_mixture(
+        partition.sizes, n_latents, rng, emission_concentration
+    )
+    return MixtureBayesSystem(partition, weights, emissions)
+
+
+def _draw_mixture(
+    sizes: Sequence[int],
+    n_latents: int,
+    rng: np.random.Generator,
+    concentration: float,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The latent weights and per-context emission tables of a random
+    mixture, normalized but not checked. Each run of consecutive contexts of
+    one size is drawn in one call, which reads the generator's stream as one
+    call per context would."""
     weights = rng.dirichlet([1.0] * n_latents)
     weights = weights / weights.sum()
     emissions: list[np.ndarray] = []
-    for size, run in itertools.groupby(partition.sizes):
+    for size, run in itertools.groupby(sizes):
         rows = rng.dirichlet(
-            [emission_concentration] * size, size=(len(list(run)), n_latents)
+            [concentration] * size, size=(len(list(run)), n_latents)
         )
         emissions.extend(rows / rows.sum(axis=-1, keepdims=True))
-    return MixtureBayesSystem(partition, weights, emissions)
+    return weights, emissions
+
+
+def _check_mixtures(
+    partition: ContextPartition,
+    weights: np.ndarray,
+    emissions: Sequence[np.ndarray],
+) -> None:
+    """Run MixtureBayesSystem's checks once on a stack of systems: weights
+    of shape (systems, latents) and one (systems, latents, size) table per
+    context. Where one fails, the first failing system's own constructor
+    raises its ValidationError."""
+    try:
+        if not np.all(np.isfinite(weights) & (weights >= 0)) or np.any(
+            np.abs(weights.sum(axis=-1) - 1.0) > PROB_ATOL
+        ):
+            raise ValidationError("latent weights")
+        for table in emissions:
+            _check_emission_rows(table, 0)
+    except ValidationError:
+        for s, row in enumerate(weights):
+            MixtureBayesSystem(partition, row, [table[s] for table in emissions])
+        raise

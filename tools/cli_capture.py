@@ -116,6 +116,12 @@ def commands() -> list[tuple[str, list[str], bool]]:
         True,
     ))
     out.append(("mc", ["mc", "--trials", "200", "--seed", "1"], True))
+    # two chunk boundaries of the stacked trials, at non-default arguments
+    out.append((
+        "mc-997-delta-0.01",
+        ["mc", "--trials", "130", "--seed", "5", "--n-train", "997", "--delta", "0.01"],
+        True,
+    ))
     out.append(("check", ["check", "--cases", "20"], False))
     for name, args in BOUNDS.items():
         out.append((f"bounds-{name}", ["bounds", *args], True))

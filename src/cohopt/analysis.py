@@ -535,6 +535,19 @@ class TrialRow:
     srm_violated: bool
 
 
+def _trial_count(n, name: str, limit: int) -> int:
+    """n as an int, after raising ValidationError unless it is an integer
+    (numpy's included) in [1, limit]."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {n!r}") from None
+    _check_count(n, name)
+    if n > limit:
+        raise ValidationError(f"{name} must be at most {limit}, got {n}")
+    return n
+
+
 def bound_validity_trials(
     n_trials: int,
     seed: int = 0,
@@ -560,20 +573,8 @@ def bound_validity_trials(
     and the bounds. Each row is bitwise the row a trial computed alone would
     give.
     """
-    counts = []
-    for name, n, limit in (
-        ("n_trials", n_trials, MAX_TRIALS),
-        ("n_train", n_train, MAX_TRAIN_DRAWS),
-    ):
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValidationError(f"{name} must be an integer, got {n!r}") from None
-        _check_count(n, name)
-        if n > limit:
-            raise ValidationError(f"{name} must be at most {limit}, got {n}")
-        counts.append(n)
-    n_trials, n_train = counts
+    n_trials = _trial_count(n_trials, "n_trials", MAX_TRIALS)
+    n_train = _trial_count(n_train, "n_train", MAX_TRAIN_DRAWS)
     log_term = _log_delta_term(delta)
     k = len(TRIAL_SIZES)
     count = math.prod(TRIAL_SIZES)

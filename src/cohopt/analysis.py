@@ -14,7 +14,6 @@ convention used.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from .systems import (
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    _check_int,
     _check_mixtures,
     _draw_mixture,
     _enumerate_masses,
@@ -132,9 +132,7 @@ def empirical_distribution(
     if estimator == "uniform-round":
         kept = indices
     elif estimator == "burnin-thinned":
-        if thin < 1:
-            raise ValidationError(f"thin must be >= 1, got {thin}")
-        kept = indices[record.config.burn_in :: thin]
+        kept = indices[record.config.burn_in :: _check_int(thin, "thin")]
         if kept.size == 0:
             raise ValidationError("burn-in left no trajectory rows")
     else:
@@ -176,16 +174,6 @@ def _log_delta_term(delta: float) -> float:
     return math.log2(1.0 / delta)
 
 
-def _check_count(n: int, name: str = "N") -> None:
-    """Raise ValidationError unless 1 <= n <= the largest float: the formulas
-    divide by n as a float. NaN fails, and so does an int past the floats
-    (compared exactly, not converted)."""
-    if not 1 <= n <= sys.float_info.max:
-        raise ValidationError(
-            f"{name} must be >= 1 and within the float range, got {n}"
-        )
-
-
 def _reject_nan(**values: float) -> None:
     for name, value in values.items():
         if math.isnan(value):
@@ -194,7 +182,7 @@ def _reject_nan(**values: float) -> None:
 
 def _require_finite(**values: float) -> list[float]:
     """The values as floats, so an int gives its float's bits, after raising
-    ValidationError unless each is finite, compared as _check_count does."""
+    ValidationError unless each is finite, compared as _check_int does."""
     for name, value in values.items():
         if not -sys.float_info.max <= value <= sys.float_info.max:
             raise ValidationError(f"{name} must be finite, got {value}")
@@ -239,13 +227,13 @@ def uniform_convergence_bound(
     probability 1 − delta (corrected sign).
     """
     chi_bits = float(chi)
-    _check_count(N)
+    N = _check_int(N, "N")
     if not chi_bits <= 1e-9:
         raise ValidationError(f"chi must be <= 0, got {chi_bits}")
     log_term = _log_delta_term(delta)
     inputs = {
         "chi": chi_bits,
-        "N": int(N),
+        "N": N,
         "delta": float(delta),
         "sign_convention": sign_convention,
     }
@@ -287,12 +275,12 @@ def accuracy_lower_bound(
 ) -> BoundReport:
     """Accuracy floor 1 - sqrt((2G ± 2·log2(1/delta))/N) for the regularized
     selection rule; may be negative (vacuous) and is flagged, not clamped."""
-    _check_count(N)
+    N = _check_int(N, "N")
     _reject_nan(G=G)
     log_term = _log_delta_term(delta)
     inputs = {
         "G": float(G),
-        "N": int(N),
+        "N": N,
         "delta": float(delta),
         "sign_convention": sign_convention,
     }
@@ -333,9 +321,9 @@ def srm_select(
     samples = [(int(c), int(a)) for c, a in train_samples]
     for c, a in samples:
         partition._check_slot(c, a)
-    n_train = len(samples) if N is None else int(N)
+    n_train = len(samples) if N is None else N
     if samples:
-        _check_count(n_train)
+        n_train = _check_int(n_train, "N")
     log_term = _log_delta_term(delta)
     core = Conditioned(system, prior)
     if candidates is None:
@@ -413,7 +401,7 @@ def regularization_bound_rhs(
     term is dropped). delta = 1 is rejected: the formula divides by
     log2(1/delta). alphaQ and H must be finite; KL may be +inf.
     """
-    _check_count(N)
+    N = _check_int(N, "N")
     alphaQ, H = _require_finite(alphaQ=alphaQ, H=H)
     _reject_nan(KL=KL)
     log_term = _log_delta_term(delta)
@@ -450,7 +438,7 @@ def conjectured_posttrain_count(
         raise ValidationError(
             f"pretrain_error must be in [0, 1), got {pretrain_error}"
         )
-    _check_count(pretrain_count, "pretrain_count")
+    pretrain_count = _check_int(pretrain_count, "pretrain_count")
     if mean_posttrain_coh == 0.0:
         raise ValidationError("mean_posttrain_coh must be nonzero")
     try:
@@ -475,8 +463,7 @@ def _ternary_bracket(
     final scan breaking ties toward the lowest index."""
     if lo >= hi:
         raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
-    if iters < 1:
-        raise ValidationError(f"iters must be >= 1, got {iters}")
+    remaining = _check_int(iters, "iters")
     cache: dict[int, float] = {}
 
     def value(x: int) -> float:
@@ -489,7 +476,6 @@ def _ternary_bracket(
             cache[x] = out
         return cache[x]
 
-    remaining = iters
     while hi - lo > 2 and remaining > 0:
         third = (hi - lo) // 3
         m1 = lo + third
@@ -535,19 +521,6 @@ class TrialRow:
     srm_violated: bool
 
 
-def _trial_count(n, name: str, limit: int) -> int:
-    """n as an int, after raising ValidationError unless it is an integer
-    (numpy's included) in [1, limit]."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {n!r}") from None
-    _check_count(n, name)
-    if n > limit:
-        raise ValidationError(f"{name} must be at most {limit}, got {n}")
-    return n
-
-
 def bound_validity_trials(
     n_trials: int,
     seed: int = 0,
@@ -573,15 +546,15 @@ def bound_validity_trials(
     and the bounds. Each row is bitwise the row a trial computed alone would
     give.
     """
-    n_trials = _trial_count(n_trials, "n_trials", MAX_TRIALS)
-    n_train = _trial_count(n_train, "n_train", MAX_TRAIN_DRAWS)
+    n_trials = _check_int(n_trials, "n_trials", high=MAX_TRIALS)
+    n_train = _check_int(n_train, "n_train", high=MAX_TRAIN_DRAWS)
     log_term = _log_delta_term(delta)
     k = len(TRIAL_SIZES)
     count = math.prod(TRIAL_SIZES)
     partition = generic_partition(TRIAL_SIZES)
     coords = np.array(np.unravel_index(np.arange(count), TRIAL_SIZES))
     # spawning in chunks gives the children one spawn(n_trials) would
-    parent = np.random.SeedSequence(seed)
+    parent = np.random.SeedSequence(_check_int(seed, "seed", 0))
     rows: list[TrialRow] = []
     for first in range(0, n_trials, _TRIAL_CHUNK):
         weights, tables, uniforms, contexts = [], [], [], []

@@ -21,6 +21,7 @@ from .systems import (
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    _check_int,
     check_chain_rule,
     generic_partition,
     random_mixture_system,
@@ -96,7 +97,8 @@ def sweep_chain_rule(
     cases: int = 100, seed: int = 0, tolerance: float = 1e-12
 ) -> SweepResult:
     """Two-step conditioning must commute on random (system, state, pair)."""
-    rng = np.random.default_rng(seed)
+    cases = _check_int(cases, "cases")
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     worst = 0.0
     for _ in range(cases):
         system = _random_system(rng)
@@ -118,7 +120,8 @@ def sweep_order_invariance(
 ) -> SweepResult:
     """Coherence must not depend on the context visiting order, checked
     over ORDER_PERMUTATIONS shuffles per case."""
-    rng = np.random.default_rng(seed)
+    cases = _check_int(cases, "cases")
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     worst = 0.0
     for _ in range(cases):
         system = _random_system(rng)
@@ -141,7 +144,8 @@ def sweep_change_of_prior(
     cases: int = 100, seed: int = 0, tolerance: float = 1e-10
 ) -> SweepResult:
     """Two-stage conditioning must telescope across an intermediate state."""
-    rng = np.random.default_rng(seed)
+    cases = _check_int(cases, "cases")
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     worst = 0.0
     for _ in range(cases):
         system = _random_system(rng)
@@ -158,7 +162,8 @@ def sweep_prior_encodes_samples(
     cases: int = 100, seed: int = 0, tolerance: float = 1e-10
 ) -> SweepResult:
     """Full coherence must split into anchored-subset plus base-subset terms."""
-    rng = np.random.default_rng(seed)
+    cases = _check_int(cases, "cases")
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     worst = 0.0
     for _ in range(cases):
         system = _random_system(rng)

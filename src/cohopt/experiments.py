@@ -41,6 +41,7 @@ from .systems import (
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    _check_int,
     _tie_search,
     _ties,
     check_beta,
@@ -168,8 +169,16 @@ def generate_scenario(
     coordinate uniformly with that probability; both knobs exist to study
     prior misspecification and default to the matched case.
     """
-    if n_contexts < 1 or context_size < 1:
-        raise ValidationError("need at least one context and one behavior")
+    n_contexts = _check_int(n_contexts, "n_contexts")
+    context_size = _check_int(context_size, "context_size")
+    seed = _check_int(seed, "seed", 0)
+    if unsupervised_count is None:
+        if not 0.0 <= unsupervised_fraction <= 1.0:
+            raise ValidationError(
+                f"unsupervised_fraction must be in [0, 1], got {unsupervised_fraction}"
+            )
+        unsupervised_count = int(round(unsupervised_fraction * n_contexts))
+    unsupervised_count = _check_int(unsupervised_count, "unsupervised_count", 0, n_contexts)
     if not 0.0 <= label_noise <= 1.0:
         raise ValidationError(f"label_noise must be in [0, 1], got {label_noise}")
     check_beta(truth_beta, "truth_beta")
@@ -189,12 +198,6 @@ def generate_scenario(
                 assignment[c] = int(rng.integers(0, context_size))
     ground_truth = DPolicy(tuple(assignment))
 
-    if unsupervised_count is None:
-        unsupervised_count = int(round(unsupervised_fraction * n_contexts))
-    if not 0 <= unsupervised_count <= n_contexts:
-        raise ValidationError(
-            f"unsupervised_count {unsupervised_count} out of range"
-        )
     order = rng.permutation(n_contexts)
     unsupervised = tuple(sorted(int(c) for c in order[:unsupervised_count]))
     supervised = tuple(sorted(int(c) for c in order[unsupervised_count:]))
@@ -425,13 +428,14 @@ def equivalence_study(
     unsupervised contexts; the recommended column evaluates the conjectured
     budget formula at that cell (nan when undefined).
     """
+    n_contexts = _check_int(n_contexts, "n_contexts")
+    lattice = [_check_int(s, "lattice point", 0, n_contexts) for s in lattice]
+    seeds = [_check_int(seed, "seed", 0) for seed in seeds]
+    if not lattice or not seeds:
+        raise ValidationError("need at least one lattice point and one seed")
     rows: list[EquivalenceRow] = []
     for seed in seeds:
         for s_a_size in lattice:
-            if not 0 <= s_a_size <= n_contexts:
-                raise ValidationError(
-                    f"lattice point {s_a_size} out of range [0, {n_contexts}]"
-                )
             scenario = generate_scenario(
                 n_contexts,
                 context_size,

@@ -28,6 +28,7 @@ from .systems import (
     PolicyState,
     _BLOCK_ENTRIES,
     _check_cap,
+    _check_int,
     _temper_masses,
     _tempered_weights,
     check_beta,
@@ -70,36 +71,34 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         check_beta(self.beta)
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {self.steps}")
+        for name, low in (("steps", 1), ("seed", 0), ("burn_in", 0)):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, low))
         if not 0.0 < self.gamma < 1.0:
             raise ValidationError(f"gamma must be in (0, 1), got {self.gamma}")
         if not 0.0 <= self.anchor_weight <= 1.0:
             raise ValidationError(
                 f"anchor_weight must be in [0, 1], got {self.anchor_weight}"
             )
-        if self.burn_in < 0:
-            raise ValidationError(f"burn_in must be >= 0, got {self.burn_in}")
 
     def to_dict(self) -> dict:
         return {
             "beta": float(self.beta),
-            "steps": int(self.steps),
-            "seed": int(self.seed),
+            "steps": self.steps,
+            "seed": self.seed,
             "gamma": float(self.gamma),
             "anchor_weight": float(self.anchor_weight),
-            "burn_in": int(self.burn_in),
+            "burn_in": self.burn_in,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SamplerConfig":
         return cls(
             beta=float(data.get("beta", 1.0)),  # reads "inf" as well
-            steps=int(data.get("steps", 1000)),
-            seed=int(data.get("seed", 0)),
+            steps=data.get("steps", 1000),
+            seed=data.get("seed", 0),
             gamma=float(data.get("gamma", 0.85)),
             anchor_weight=float(data.get("anchor_weight", 0.0)),
-            burn_in=int(data.get("burn_in", 0)),
+            burn_in=data.get("burn_in", 0),
         )
 
 
@@ -760,13 +759,11 @@ def icm_hill_climb(
     The returned policy is a local maximum under single-coordinate moves
     unless the per-restart sweep cap max_iters was hit.
     """
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    max_iters = _check_int(max_iters, "max_iters")
+    restarts = _check_int(restarts, "restarts")
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     core = Conditioned(system, prior, contexts)
     k = len(core.contexts)
-    rng = np.random.default_rng(seed)
     starts = [core.validate(initial)]
     for _ in range(restarts - 1):
         starts.append(

@@ -14,6 +14,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
+import sys
 from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -491,6 +493,23 @@ def check_beta(beta: float, name: str = "beta") -> float:
     return beta
 
 
+def _check_int(n, name: str, low: int = 1, high: int | None = None) -> int:
+    """n as an int, after raising ValidationError unless it is an integer
+    (numpy's included) from low to the largest float (compared exactly: the
+    formulas divide by counts as floats), and at most high where given."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {n!r}") from None
+    if not low <= n <= sys.float_info.max:
+        raise ValidationError(
+            f"{name} must be at least {low} and within the float range, got {n}"
+        )
+    if high is not None and n > high:
+        raise ValidationError(f"{name} must be at most {high}, got {n}")
+    return n
+
+
 def temper(probabilities: np.ndarray, beta: float) -> np.ndarray:
     """Apply p -> p^beta to every mass and re-normalize.
 
@@ -603,9 +622,7 @@ def check_chain_rule(
 
 
 def _check_cap(count: int, cap: int) -> None:
-    if cap < 1:
-        raise ValidationError(f"enumeration cap must be at least 1, got {cap}")
-    if count > cap:
+    if count > _check_int(cap, "enumeration cap"):
         raise EnumerationCapError(
             f"policy space has {count} elements, above the cap of {cap}"
         )
@@ -1065,8 +1082,11 @@ def random_mixture_system(
     the positivity check without an enumeration. Smaller emission
     concentration gives more peaked rows and stronger cross-context coupling.
     """
-    if n_latents < 1:
-        raise ValidationError(f"n_latents must be >= 1, got {n_latents}")
+    n_latents = _check_int(n_latents, "n_latents")
+    if not 0.0 < emission_concentration <= sys.float_info.max:
+        raise ValidationError(
+            f"emission_concentration must be in (0, inf), got {emission_concentration}"
+        )
     weights, emissions = _draw_mixture(
         partition.sizes, n_latents, rng, emission_concentration
     )

@@ -7,9 +7,11 @@ the src/ directory next to this script) and writes into its own
 subdirectory of OUT: the files the command writes, plus `stdout.txt` with the
 exit code, stdout, stderr and each warning raised (its category, the file
 it points at and its message), where the output directory is replaced by
-`<out>`. The scenario path in every `config.json` is cut down to the file
-name, so two captures taken from two checkouts (say, a change and its parent)
-compare byte for byte with
+`<out>`. A command that raises an exception other than SystemExit gets an
+`exception=<type>: <message>` line there; the capture goes on, and exits 1
+once every command has run. The scenario path in every `config.json` is cut
+down to the file name, so two captures taken from two checkouts (say, a
+change and its parent) compare byte for byte with
 
     diff -r OUT_PARENT OUT_CHANGE
 
@@ -125,6 +127,12 @@ def commands() -> list[tuple[str, list[str], bool]]:
     out.append(("check", ["check", "--cases", "20"], False))
     for name, args in BOUNDS.items():
         out.append((f"bounds-{name}", ["bounds", *args], True))
+    # bad input exits 2 and writes no output file
+    condiments = str(SCENARIOS["condiments"])
+    out.append(("run-seed-negative", ["run", condiments, "--steps", "5", "--seed", "-1"], True))
+    out.append(("mc-seed-negative", ["mc", "--trials", "3", "--seed", "-1"], True))
+    out.append(("equiv-empty-lattice", ["equiv", "--lattice", ",", "--n-contexts", "4"], True))
+    out.append(("check-seed-negative", ["check", "--cases", "2", "--seed", "-1"], False))
     return out
 
 
@@ -140,6 +148,7 @@ def main() -> None:
     from click.testing import CliRunner
 
     runner = CliRunner()
+    crashed = []
     for name, argv, writes in commands():
         directory = args.out / name
         directory.mkdir(parents=True, exist_ok=True)
@@ -148,9 +157,10 @@ def main() -> None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = runner.invoke(cli.main, argv)
-        if result.exception is not None and not isinstance(result.exception, SystemExit):
-            raise SystemExit(f"{name}: {result.exception!r}")
         text = f"exit={result.exit_code}\n{result.stdout}{result.stderr}"
+        if result.exception is not None and not isinstance(result.exception, SystemExit):
+            crashed.append(name)
+            text += f"exception={type(result.exception).__name__}: {result.exception}\n"
         for w in caught:  # where a warning points, without the line number
             text += f"{w.category.__name__} in {Path(w.filename).name}: {w.message}\n"
         (directory / "stdout.txt").write_text(text.replace(str(directory), "<out>"))
@@ -158,6 +168,8 @@ def main() -> None:
         if config.is_file():
             config.write_text(config.read_text().replace(f"{SCENARIO_DIR}/", ""))
         print(f"{name}: exit {result.exit_code}")
+    if crashed:
+        raise SystemExit(f"raised an exception: {', '.join(crashed)}")
 
 
 if __name__ == "__main__":

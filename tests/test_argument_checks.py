@@ -236,11 +236,6 @@ def test_an_empty_study_is_rejected(lattice, seeds):
         equivalence_study(lattice, seeds, n_contexts=3)
 
 
-def test_a_sweep_of_no_cases_is_rejected():
-    with pytest.raises(ValidationError, match="cases must be at least 1"):
-        run_all_sweeps(cases=0)
-
-
 EQUIV = ["equiv", "--lattice", "0,1", "--n-seeds", "1", "--n-contexts", "3"]
 
 

@@ -42,6 +42,7 @@ from .fileio import (
 )
 from .samplers import (
     SamplerConfig,
+    _visiting_order,
     debate_run,
     gibbs_run,
     icm_hill_climb,
@@ -53,6 +54,7 @@ from .systems import (
     DEFAULT_ENUMERATION_CAP,
     Conditioned,
     PolicyState,
+    _check_int,
     check_beta,
 )
 
@@ -185,6 +187,16 @@ def cmd_run(
         )
     else:
         start = partition.policy_at(0)
+    # every input is checked before the first file is written
+    visiting: str | tuple[int, ...] = order
+    if method == "bootstrap" and order != "random":
+        visiting = _visiting_order(
+            [partition.context_index(name.strip()) for name in order.split(",")],
+            partition.n_contexts,
+        )
+    if method == "icm":
+        _check_int(icm_iters, "icm_iters")
+        _check_int(icm_restarts, "icm_restarts")
     out_path = _out_dir(out)
     write_json(
         out_path / "config.json",
@@ -227,13 +239,6 @@ def cmd_run(
             report["tv_to_exact"] = tv_distance(empirical, exact)
             report["estimator"] = "uniform-round"
     elif method == "bootstrap":
-        if order == "random":
-            visiting: str | list[int] = "random"
-        else:
-            visiting = [
-                partition.context_index(name.strip())
-                for name in order.split(",")
-            ]
         result = simple_bootstrap_run(data.system, visiting, config)
         write_bootstrap_csv(out_path / "bootstrap.csv", partition, result)
         report.update(

@@ -358,15 +358,36 @@ def write_trajectory_csv(
     if bad.size:
         t, j = bad[0].tolist()
         partition.behavior_name(record.contexts[j], int(trajectory[t, j]))
-    changed = [""] + [
-        "|".join(contexts[j] for j in move) for move in record.moves.tolist()
-    ]
-    for t, (row, bits) in enumerate(
-        zip(trajectory.tolist(), record.coherence_bits.tolist())
-    ):
-        policy = "|".join(names[a] for names, a in zip(behaviors, row))
-        lines.append(_csv_line((t, changed[t], policy, bits)))
+    changed = [""] + _cells(
+        record.moves.tolist(), lambda move: "|".join(contexts[j] for j in move)
+    )
+    policies = _cells(
+        trajectory.tolist(),
+        lambda row: "|".join(names[a] for names, a in zip(behaviors, row)),
+    )
+    # _csv_line's line: an int and a float repr need no quotes
+    lines.extend(
+        f"{t},{changed[t]},{policy},{bits!r}"
+        for t, (policy, bits) in enumerate(
+            zip(policies, record.coherence_bits.tolist())
+        )
+    )
     return write_text(path, "\n".join(lines) + "\n")
+
+
+def _cells(rows: list[list[int]], text) -> list[str]:
+    """The CSV cell of text(row) per row, formatted once per distinct row (a
+    trajectory revisits few policies). Keyed by the row itself: a mixed-radix
+    index overflows int64 past 2**63 policies."""
+    cells: dict[tuple[int, ...], str] = {}
+    out = []
+    for row in rows:
+        key = tuple(row)
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = _csv_line([text(row)])
+        out.append(cell)
+    return out
 
 
 def write_experiment_reports(

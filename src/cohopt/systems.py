@@ -375,12 +375,13 @@ class MixtureBayesSystem:
 
         # one row of log emissions per global behavior index, then the log
         # of a row of ones: the zero row a skipped position reads in
-        # Conditioned.numerators
+        # Conditioned.numerators; C-ordered, so that its gather copies whole
+        # rows rather than strided columns, with the log taken in place
+        table = np.empty((partition.n_behaviors + 1, weights.size))
+        np.concatenate([*(arr.T for arr in rows), np.ones((1, weights.size))], out=table)
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(weights)
-            self._log_emission_rows = np.log(
-                np.concatenate([*(arr.T for arr in rows), np.ones((1, weights.size))])
-            )
+            self._log_emission_rows = np.log(table, out=table)
         self._log_emission_rows.setflags(write=False)
 
     @property

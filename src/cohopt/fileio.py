@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -359,11 +360,12 @@ def write_trajectory_csv(
         t, j = bad[0].tolist()
         partition.behavior_name(record.contexts[j], int(trajectory[t, j]))
     changed = [""] + _cells(
-        record.moves.tolist(), lambda move: "|".join(contexts[j] for j in move)
+        record.moves.tolist(),
+        lambda move: "|".join(map(contexts.__getitem__, move)),
     )
     policies = _cells(
         trajectory.tolist(),
-        lambda row: "|".join(names[a] for names, a in zip(behaviors, row)),
+        lambda row: "|".join(map(operator.getitem, behaviors, row)),
     )
     # _csv_line's line: an int and a float repr need no quotes
     lines.extend(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,24 @@ class Scenario:
         return state_of_policy(
             self.system.partition, self.ground_truth, self.supervised
         )
+
+    # what every pipeline run on this scenario computes alike, computed once
+    @cached_property
+    def _greedy_start(self) -> DPolicy:
+        """The per-context greedy choice over the unsupervised contexts."""
+        return _greedy_assignment(self.system, self.prior_state, self.unsupervised)
+
+    @cached_property
+    def _chi_pre_bits(self) -> float:
+        """Sequential coherence of the labels from the empty state."""
+        return sequence_coherence(
+            self.system, PolicyState.zero(), list(self.labels)
+        ).bits
+
+    @cached_property
+    def _optimality_gap(self) -> float:
+        """optimality_gap of the ground truth under the labels."""
+        return optimality_gap(self.system, self.prior_state, self.ground_truth)
 
 
 def _draw_truth(masses: np.ndarray, truth_beta: float, u: float) -> int:
@@ -294,7 +313,7 @@ def run_semi_supervised(
     s_a = scenario.unsupervised
     truth = scenario.ground_truth
 
-    initial = _greedy_assignment(system, prior, s_a)
+    initial = scenario._greedy_start
     if method == "erm" or not s_a:
         # erm is the per-context greedy baseline; an empty split picks ()
         chosen = initial
@@ -328,9 +347,7 @@ def run_semi_supervised(
         system, prior, [(c, combined.assignment[c]) for c in s_a]
     ).bits
     chi_full = coherence(system, PolicyState.zero(), combined).bits
-    chi_pre = sequence_coherence(
-        system, PolicyState.zero(), list(scenario.labels)
-    ).bits
+    chi_pre = scenario._chi_pre_bits
     n_labels = max(len(scenario.supervised), 1)
 
     return SemiSupervisedReport(
@@ -349,7 +366,7 @@ def run_semi_supervised(
             min(chi_full, 0.0), n_labels, delta
         ),
         accuracy_floor=accuracy_lower_bound(
-            optimality_gap(system, prior, truth), n_labels, delta
+            scenario._optimality_gap, n_labels, delta
         ),
     )
 

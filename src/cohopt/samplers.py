@@ -30,6 +30,7 @@ from .systems import (
     _check_cap,
     _check_int,
     _temper_masses,
+    _tempered_rows,
     _tempered_weights,
     check_beta,
     temper,
@@ -212,6 +213,9 @@ class _KeptTables:
     space). Otherwise, and unless fold, it folds them for its state alone:
     a one-off score misses each skip once, so no table would pay for
     itself. Both give the same bits, and a miss does the same with them.
+    Where every state can come round again and the full table fits,
+    _kept_tables gives _BatchedTables instead, whose conditionals,
+    leave-one-outs and coherences weigh every row of a table at once.
     """
 
     def __init__(
@@ -256,11 +260,16 @@ class _KeptTables:
                 return self.core.numerators(assignment, skip)
             table = self.folds[skip] = self.core.numerator_table(skip)
         if skip:
-            # drop the skipped position's digit from the mixed-radix index
-            stride = self.strides[skip[0]]
-            high = stride * self.core.sizes[skip[0]]
-            rest = rest // high * stride + rest % stride
+            rest = self._row(skip[0], rest)
         return table[rest]
+
+    def _row(self, position: int, rest: int) -> int:
+        """The row of the numerator table for skip (position,) that rest
+        reads: rest with the skipped position's digit dropped from the
+        mixed-radix index."""
+        stride = self.strides[position]
+        high = stride * self.core.sizes[position]
+        return rest // high * stride + rest % stride
 
     @staticmethod
     def _keep(kept: dict, key, value):
@@ -383,6 +392,120 @@ class _KeptTables:
         return value
 
 
+class _BatchedTables(_KeptTables):
+    """_KeptTables of a small covered space, one whose every state can come
+    round again and whose full numerator table fits _BLOCK_ENTRIES: the
+    first miss at a position builds the conditionals or leave-one-outs of
+    every state of that skip in one stacked pass (_predictive_rows), and the
+    first coherence miss the totals of every state. A miss then turns one
+    row into lists. Each row is bitwise what the per-state path gives.
+    retained() and predictive() stay per state."""
+
+    def __init__(self, core: Conditioned, beta: float = 1.0) -> None:
+        super().__init__(core, beta)
+        # per position, the draw columns and the leave-one-out sums; the
+        # coherence totals
+        self.draws: dict[int, tuple] = {}
+        self.sums: dict[int, tuple] = {}
+        self.totals: tuple[list[float], list[float]] | None = None
+
+    def _predictive_rows(self, position: int) -> tuple[list[float], np.ndarray]:
+        """core.predictive of every row of the numerator table for skip
+        (position,), stacked: the tops as a list and the masses as one
+        C-ordered (rows, behaviors) array. The same ops row-wise, and the
+        matmul of a stack of one-row matrices is numpy's loop of the same
+        gemv as one row's weights @ emissions (a 2-D matmul is a gemm, whose
+        sums round otherwise). An all -inf row gives NaN, so callers silence
+        invalid and never read such a row."""
+        table = self.core.numerator_table((position,))
+        tops = np.maximum.reduce(table, axis=1)
+        weights = np.exp(table - tops[:, None])
+        masses = np.matmul(weights[:, None], self.core.emissions[position])
+        return tops.tolist(), masses[:, 0]
+
+    def conditional(
+        self, assignment: np.ndarray, position: int, rest: int
+    ) -> tuple[list[float], list[float], list[float], float]:
+        """The row of position's batch, built on its first miss, of tops,
+        masses and _draw_table's columns, tempered row-wise; a degenerate
+        row takes the per-state path, which raises."""
+        key = rest * len(self.strides) + position
+        table = self.tables.get(key)
+        if table is None:
+            batch = self.draws.get(position)
+            if batch is None:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    tops, masses = self._predictive_rows(position)
+                    weights = _tempered_rows(masses, self.beta)
+                batch = self.draws[position] = (
+                    tops, masses, weights.cumsum(axis=1), weights
+                )
+            tops, masses, cum, weights = batch
+            r = self._row(position, rest)
+            if tops[r] == -math.inf:
+                return super().conditional(assignment, position, rest)
+            table = self._keep(
+                self.tables,
+                key,
+                (cum[r].tolist(), weights[r].tolist(), masses[r].tolist(), tops[r]),
+            )
+        return table
+
+    def leave_one_out(
+        self, assignment: np.ndarray, position: int, rest: int
+    ) -> tuple[list[float], float]:
+        """The row of position's batch, built on its first miss, of masses
+        and their sums; a degenerate row takes the per-state path, which
+        raises."""
+        key = rest * len(self.strides) + position
+        kept = self.leave_one_outs.get(key)
+        if kept is None:
+            batch = self.sums.get(position)
+            if batch is None:
+                with np.errstate(invalid="ignore"):
+                    tops, masses = self._predictive_rows(position)
+                    batch = self.sums[position] = (
+                        tops, masses, masses.sum(axis=1).tolist()
+                    )
+            tops, masses, sums = batch
+            r = self._row(position, rest)
+            if tops[r] == -math.inf:
+                return super().leave_one_out(assignment, position, rest)
+            kept = self._keep(self.leave_one_outs, key, (masses[r].tolist(), sums[r]))
+        return kept
+
+    def coherence(self, assignment: np.ndarray, index: int) -> float:
+        """From the tops and totals exp(n - top).sum() of every row of the
+        full numerator table, built on the first miss, by coherence_from's
+        arithmetic; kept on first sight."""
+        value = self.bits.get(index)
+        if value is None:
+            if self.totals is None:
+                table = self.core.numerator_table(())
+                tops = np.maximum.reduce(table, axis=1)
+                with np.errstate(invalid="ignore"):
+                    totals = np.exp(table - tops[:, None]).sum(axis=1)
+                self.totals = (tops.tolist(), totals.tolist())
+            tops, totals = self.totals
+            log_ml = tops[index]
+            if log_ml != -math.inf:  # an impossible state's is -inf
+                log_ml += math.log(totals[index])
+            value = self._keep(
+                self.bits, index, (log_ml - self.core.log_prior_ml) / LN2
+            )
+        return value
+
+
+def _kept_tables(core: Conditioned, beta: float = 1.0) -> _KeptTables:
+    """The kept tables of a chain or climb on core: _BatchedTables where
+    the covered space has at most _DRAW_TABLE_CAP policies and its full
+    numerator table fits _BLOCK_ENTRIES, _KeptTables otherwise. Chosen
+    once, so that other spaces' misses do no added work."""
+    count = math.prod(core.sizes)
+    small = count <= _DRAW_TABLE_CAP and count * core.base.size <= _BLOCK_ENTRIES
+    return (_BatchedTables if small else _KeptTables)(core, beta)
+
+
 def _single_site_draws(
     core: Conditioned, beta: float
 ) -> Callable[[np.ndarray, int, float], tuple[int, float, float]]:
@@ -391,7 +514,7 @@ def _single_site_draws(
     _KeptTables, with the uniform u and returns (behavior, p[behavior],
     top). The chains keep a running index instead of computing one per
     draw."""
-    kept = _KeptTables(core, beta)
+    kept = _kept_tables(core, beta)
 
     def draw(
         assignment: np.ndarray, position: int, u: float
@@ -479,7 +602,7 @@ def gibbs_run(
     k = len(core.contexts)
     picks = rng.integers(0, k, size=config.steps)
     uniforms = rng.random(config.steps)
-    kept = _KeptTables(core, config.beta)
+    kept = _kept_tables(core, config.beta)
     tables, strides, log_prior_ml = kept.tables, kept.strides, core.log_prior_ml
     assignment = trajectory[0].copy()
     state = assignment.tolist()
@@ -537,7 +660,7 @@ def training_friendly_gibbs_run(
         )
     lam = config.anchor_weight
     moves = np.empty((config.steps, k - keep), dtype=np.int64)
-    kept = _KeptTables(core, config.beta)
+    kept = _kept_tables(core, config.beta)
     strides = kept.strides
     assignment = trajectory[0].copy()
     state = assignment.tolist()
@@ -595,7 +718,7 @@ def debate_run(
     core, rng, trajectory, coherence_bits = _start_chain(
         system, config, prior, contexts, check_positivity, opening
     )
-    kept = _KeptTables(core, config.beta)
+    kept = _kept_tables(core, config.beta)
     strides = kept.strides
     assignment = trajectory[0].copy()
     state = assignment.tolist()
@@ -769,7 +892,7 @@ def icm_hill_climb(
         starts.append(
             np.array([rng.integers(0, s) for s in core.sizes], dtype=np.int64)
         )
-    kept = _KeptTables(core)
+    kept = _kept_tables(core)
     strides, score = kept.strides, kept.score
 
     best_assignment = starts[0].copy()

@@ -486,6 +486,22 @@ def _tempered_weights(p: np.ndarray, beta: float, top=None) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def _tempered_rows(p: np.ndarray, beta: float) -> np.ndarray:
+    """_tempered_weights of every row of a C-ordered (rows, n) table p, by
+    the same elementwise ops, so each row is bitwise that of its own call.
+    The log of each row's maximum stays math.log: np.log, vectorized,
+    rounds some inputs otherwise. Callers silence divide and invalid."""
+    if beta == 1.0:
+        return p
+    top = np.maximum.reduce(p, axis=1)
+    if math.isinf(beta):
+        return _ties(p, top[:, None]).astype(np.float64)
+    out = np.log(p)
+    np.subtract(out, np.array([math.log(t) for t in top.tolist()])[:, None], out=out)
+    np.multiply(beta, out, out=out)
+    return np.exp(out, out=out)
+
+
 def check_beta(beta: float, name: str = "beta") -> float:
     """Return beta if it is a valid inverse temperature: positive, +inf
     allowed, NaN rejected."""

@@ -156,8 +156,10 @@ def _draw_cumulative(cum: list[float], weights: list[float], u: float) -> int:
     """_draw given cum = np.cumsum(weights), both as lists, so a kept draw
     table is reused. bisect_right on the list finds what searchsorted with
     side="right" finds, by the same float comparisons, in a fraction of the
-    time on the few entries of one conditional."""
-    idx = min(bisect.bisect_right(cum, u * cum[-1]), len(weights) - 1)
+    time on the few entries of one conditional. Its upper bound is the clamp
+    to len(cum) - 1 (cum is non-decreasing), not a min() call, which cost
+    about a fifth of a dense Gibbs step."""
+    idx = bisect.bisect_right(cum, u * cum[-1], 0, len(cum) - 1)
     while weights[idx] == 0.0 and idx > 0:
         idx -= 1
     return idx
@@ -673,7 +675,9 @@ def training_friendly_gibbs_run(
         order = positions.copy()
         rng.shuffle(order)
         resampled = tuple(sorted(order[keep:]))
-        rest = index - sum(state[j] * strides[j] for j in resampled)
+        rest = index
+        for j in resampled:
+            rest -= state[j] * strides[j]
         retained = kept.retained(assignment, resampled, rest)
         if t == 0:
             anchor = retained  # round 0's retained state anchors later rounds

@@ -93,5 +93,5 @@ def test_every_index_on_a_fixed_grid():
         row[rng.random(size) < 0.4] = 0.0
         rows.append(row.tolist())
     for row in rows:
-        hits = {_assert_same_draw(row, u) for u in [0.0, LAST_U, *rng.random(64).tolist()]}
-        assert hits <= {i for i, w in enumerate(row) if w != 0.0} or not any(row)
+        for u in [0.0, LAST_U, *rng.random(64).tolist()]:
+            _assert_same_draw(row, u)

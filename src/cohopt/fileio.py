@@ -90,16 +90,17 @@ def write_json(path: str | Path, payload: dict) -> Path:
     return write_text(path, text + "\n")
 
 
+def _quote(cell: str) -> str:
+    """A CSV cell as written: quoted, with its quotes doubled, when it holds
+    a comma, a double quote or a line break."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _csv_line(values) -> str:
-    """One CSV line of formatted cells; a cell holding a comma, a double
-    quote or a line break is quoted, with its quotes doubled."""
-    cells = []
-    for value in values:
-        cell = _fmt(value)
-        if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
-            cell = '"' + cell.replace('"', '""') + '"'
-        cells.append(cell)
-    return ",".join(cells)
+    """One CSV line of formatted, quoted cells."""
+    return ",".join([_quote(_fmt(value)) for value in values])
 
 
 def write_rows_csv(
@@ -298,7 +299,9 @@ def write_distribution_csv(
     bits; sorted by descending mass then lexicographic policy.
 
     masses is the joint mass table the distribution was tempered from, in
-    policy-index order; coherence is its log2.
+    policy-index order; coherence is its log2. Each line is one f-string of
+    the label under _quote and the two floats' reprs: the bytes that
+    write_rows_csv writes for the same rows.
     """
     if (
         not isinstance(masses, np.ndarray)
@@ -315,14 +318,9 @@ def write_distribution_csv(
         zip(labels, distribution.masses.tolist(), chis.tolist(), strict=True),
         key=lambda row: (-row[1], row[0]),
     )
-    return write_rows_csv(
-        path,
-        ["policy", "mass", "coherence_bits"],
-        [
-            {"policy": label, "mass": mass, "coherence_bits": chi}
-            for label, mass, chi in rows
-        ],
-    )
+    lines = ["policy,mass,coherence_bits"]  # a float repr needs no quotes
+    lines += [f"{_quote(label)},{mass!r},{chi!r}" for label, mass, chi in rows]
+    return write_text(path, "\n".join(lines) + "\n")
 
 
 def _metadata_lines(kind: str, record_meta: dict) -> list[str]:

@@ -29,7 +29,6 @@ from .systems import (
     _BLOCK_ENTRIES,
     _check_cap,
     _check_int,
-    _temper_masses,
     _tempered_rows,
     _tempered_weights,
     check_beta,
@@ -394,6 +393,20 @@ class _KeptTables:
         return value
 
 
+def _stacked_predictive(
+    table: np.ndarray, emissions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conditioned.predictive of every row of a C-ordered (rows, latents)
+    numerator table: the tops, and the masses as one C-ordered (rows,
+    behaviors) array. The same ops row-wise; the matmul of a stack of
+    one-row matrices is numpy's loop of the same gemv as weights @ emissions
+    (a 2-D matmul is a gemm, whose sums round otherwise). An all -inf row
+    gives NaN: callers silence invalid and never read such a row."""
+    tops = np.maximum.reduce(table, axis=1)
+    weights = np.exp(table - tops[:, None])
+    return tops, np.matmul(weights[:, None], emissions)[:, 0]
+
+
 class _BatchedTables(_KeptTables):
     """_KeptTables of a small covered space, one whose every state can come
     round again and whose full numerator table fits _BLOCK_ENTRIES: the
@@ -412,18 +425,10 @@ class _BatchedTables(_KeptTables):
         self.totals: tuple[list[float], list[float]] | None = None
 
     def _predictive_rows(self, position: int) -> tuple[list[float], np.ndarray]:
-        """core.predictive of every row of the numerator table for skip
-        (position,), stacked: the tops as a list and the masses as one
-        C-ordered (rows, behaviors) array. The same ops row-wise, and the
-        matmul of a stack of one-row matrices is numpy's loop of the same
-        gemv as one row's weights @ emissions (a 2-D matmul is a gemm, whose
-        sums round otherwise). An all -inf row gives NaN, so callers silence
-        invalid and never read such a row."""
+        """_stacked_predictive of the numerator table for skip (position,)."""
         table = self.core.numerator_table((position,))
-        tops = np.maximum.reduce(table, axis=1)
-        weights = np.exp(table - tops[:, None])
-        masses = np.matmul(weights[:, None], self.core.emissions[position])
-        return tops.tolist(), masses[:, 0]
+        tops, masses = _stacked_predictive(table, self.core.emissions[position])
+        return tops.tolist(), masses
 
     def conditional(
         self, assignment: np.ndarray, position: int, rest: int
@@ -812,32 +817,38 @@ def bootstrap_exact_distribution(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> PolicyDistribution:
     """Distribution over final assignments induced by the sequential sampler
-    for one fixed visiting order, by a depth-first walk of the path tree: one
-    tempered conditional per node reached by positive steps, and log
-    numerators held for one path's pending siblings only."""
+    for one fixed visiting order, by a walk of the path tree one level at a
+    time: blocks of at most _BLOCK_ENTRIES // latents nodes reached by
+    positive steps, depth first, each tempered by its nodes' temper() ops."""
     core = Conditioned(system, prior, contexts)
     k = len(core.contexts)
     order = _visiting_order(context_order, k)
     _check_cap(math.prod(core.sizes), cap)
+    check_beta(beta)
     if k == 0:  # the empty assignment is the only outcome
         return PolicyDistribution(masses=np.ones(1), provenance="custom", sizes=())
-    check_beta(beta)
     sizes = [core.sizes[j] for j in order]
     masses = np.zeros(math.prod(sizes))  # indexed in visiting order
-    stack = [(0, core.base, 1.0, 0)]  # (level, numerators, mass, prefix index)
+    width = max(1, _BLOCK_ENTRIES // core.base.size)
+    # (level, numerators, masses, prefix indices) of a block of nodes
+    stack = [(0, core.base[None], np.ones(1), np.zeros(1, dtype=np.int64))]
     while stack:
         level, numerators, mass, index = stack.pop()
         j = order[level]
-        # predictive masses are finite and non-negative: no input check
-        p = core.predictive(numerators, j)[0]
-        steps = _temper_masses(p, beta, float(p.max()))
-        index *= sizes[level]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = _stacked_predictive(numerators, core.emissions[j])[1]
+            steps = _tempered_rows(p, beta)
+        steps = steps / steps.sum(axis=1)[:, None]
         if level == k - 1:
-            masses[index : index + sizes[level]] = mass * steps
+            masses.reshape(-1, sizes[level])[index] = mass[:, None] * steps
             continue
-        for a in np.flatnonzero(steps):
-            child = core.extend(numerators, j, a)
-            stack.append((level + 1, child, mass * steps[a], index + a))
+        nodes, a = np.nonzero(steps)
+        for s in range(0, nodes.size, width):
+            n, b = nodes[s : s + width], a[s : s + width]
+            child = core.extend(numerators[n], j, b)
+            stack.append(
+                (level + 1, child, mass[n] * steps[n, b], index[n] * sizes[level] + b)
+            )
     masses = masses.reshape(sizes).transpose(np.argsort(order)).ravel()
     return PolicyDistribution(
         masses=masses / masses.sum(), provenance="custom", sizes=core.sizes

@@ -538,12 +538,6 @@ def temper(probabilities: np.ndarray, beta: float) -> np.ndarray:
     top = float(p.max())
     if not (float(p.min()) >= 0.0 and top < math.inf):
         raise ValidationError("masses to temper must be finite and non-negative")
-    return _temper_masses(p, beta, top)
-
-
-def _temper_masses(p: np.ndarray, beta: float, top: float) -> np.ndarray:
-    """temper() of masses p known to be finite and non-negative, with
-    maximum top, at a checked beta: no input check."""
     if top <= 0.0:
         raise DegenerateConditioningError(
             "degenerate conditioning: all masses zero after tempering"

@@ -16,18 +16,31 @@ change and its parent) compare byte for byte with
     diff -r OUT_PARENT OUT_CHANGE
 
 The scenarios are the two under demos/scenarios/ next to this script.
+
+Then each demo script in that demos/ directory runs in a subprocess, with
+SRC on its PYTHONPATH, from a copy of demos/ in a temporary directory (as
+tests/test_demos.py runs it), into `demo-<script name>/`: `stdout.txt` holds
+its exit code, stdout and stderr, with the temporary directory replaced by
+`<tmp>`, and `output/` the files it wrote but the `timings.csv` sidecars,
+whose wall-clock times differ from run to run. A demo that exits nonzero
+also makes the capture exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import os
+import shutil
+import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCENARIO_DIR = ROOT / "demos" / "scenarios"
+DEMO_DIR = ROOT / "demos"
+SCENARIO_DIR = DEMO_DIR / "scenarios"
 SCENARIOS = {
     "condiments": SCENARIO_DIR / "condiments.json",
     "smoothed": SCENARIO_DIR / "condiments_smoothed.json",
@@ -136,6 +149,37 @@ def commands() -> list[tuple[str, list[str], bool]]:
     return out
 
 
+def run_demos(out: Path, src: Path) -> list[str]:
+    """Capture every demo script; the names of those that exited nonzero."""
+    failed = []
+    for script in sorted(DEMO_DIR.glob("*.py")):
+        name = f"demo-{script.stem}"
+        directory = out / name
+        directory.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = Path(tmp) / "demos"
+            shutil.copytree(DEMO_DIR, copy, ignore=shutil.ignore_patterns("output"))
+            result = subprocess.run(
+                [sys.executable, str(copy / script.name)],
+                cwd=tmp,
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+            )
+            text = f"exit={result.returncode}\n{result.stdout}{result.stderr}"
+            (directory / "stdout.txt").write_text(text.replace(tmp, "<tmp>"))
+            if (copy / "output").is_dir():
+                shutil.copytree(
+                    copy / "output",
+                    directory / "output",
+                    ignore=shutil.ignore_patterns("timings.csv"),
+                )
+        if result.returncode != 0:
+            failed.append(name)
+        print(f"{name}: exit {result.returncode}")
+    return failed
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path)
@@ -168,6 +212,7 @@ def main() -> None:
         if config.is_file():
             config.write_text(config.read_text().replace(f"{SCENARIO_DIR}/", ""))
         print(f"{name}: exit {result.exit_code}")
+    crashed += run_demos(args.out, args.src.resolve())
     if crashed:
         raise SystemExit(f"raised an exception: {', '.join(crashed)}")
 

@@ -173,6 +173,7 @@ def run_demos(out: Path, src: Path) -> list[str]:
                     copy / "output",
                     directory / "output",
                     ignore=shutil.ignore_patterns("timings.csv"),
+                    dirs_exist_ok=True,
                 )
         if result.returncode != 0:
             failed.append(name)
@@ -214,7 +215,7 @@ def main() -> None:
         print(f"{name}: exit {result.exit_code}")
     crashed += run_demos(args.out, args.src.resolve())
     if crashed:
-        raise SystemExit(f"raised an exception: {', '.join(crashed)}")
+        raise SystemExit(f"crashed or exited nonzero: {', '.join(crashed)}")
 
 
 if __name__ == "__main__":

@@ -87,15 +87,6 @@ class BoundReport:
     note: str = ""
     inputs: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "valid": self.valid,
-            "note": self.note,
-            "inputs": dict(self.inputs),
-        }
-
 
 @dataclass(frozen=True)
 class AgreementStats:

@@ -9,6 +9,7 @@ same inputs and seed reproduces them byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -20,6 +21,7 @@ import numpy as np
 
 from .analysis import (
     BoundReport,
+    TrialRow,
     accuracy_lower_bound,
     bound_validity_trials,
     conjectured_posttrain_count,
@@ -31,7 +33,7 @@ from .analysis import (
 from .checks import run_all_sweeps
 from .coherence import _exact_softmax, coherence, pmi, softmax_over_coherence
 from .errors import CohoptError, ValidationError
-from .experiments import equivalence_study
+from .experiments import EquivalenceRow, equivalence_study
 from .fileio import (
     load_scenario,
     write_bootstrap_csv,
@@ -310,11 +312,11 @@ def cmd_bounds(
     if bound_kind == "uniform":
         report = uniform_convergence_bound(
             need(chi, "chi"), need(n, "n"), need(delta, "delta"), sign
-        ).to_dict()
+        )
     elif bound_kind == "accuracy":
         report = accuracy_lower_bound(
             need(gap, "gap"), need(n, "n"), need(delta, "delta"), sign
-        ).to_dict()
+        )
     elif bound_kind == "regularization":
         value = regularization_bound_rhs(
             need(alpha, "alpha"),
@@ -338,7 +340,7 @@ def cmd_bounds(
                 "N": n,
                 "delta": delta,
             },
-        ).to_dict()
+        )
     else:
         value = conjectured_posttrain_count(
             need(mean_pretrain_coh, "mean-pretrain-coh"),
@@ -357,11 +359,11 @@ def cmd_bounds(
                 "pretrain_error": pretrain_error,
                 "pretrain_count": pretrain_count,
             },
-        ).to_dict()
+        )
     out_path = _out_dir(out)
-    write_json(out_path / "bound.json", report)
-    write_json(out_path / "config.json", {"command": "bounds", "report_inputs": report["inputs"], "bound": bound_kind, "sign": sign})
-    click.echo(f"{report['kind']}: value={report['value']!r} valid={report['valid']}")
+    write_json(out_path / "bound.json", dataclasses.asdict(report))
+    write_json(out_path / "config.json", {"command": "bounds", "report_inputs": report.inputs, "bound": bound_kind, "sign": sign})
+    click.echo(f"{report.kind}: value={report.value!r} valid={report.valid}")
 
 
 @main.command("mc")
@@ -379,23 +381,8 @@ def cmd_mc(trials: int, seed: int, n_train: int, delta: float, out: str | None) 
     out_path = _out_dir(out)
     write_rows_csv(
         out_path / "trials.csv",
-        [
-            "seed", "violated", "max_gap", "bound_at_max", "violated_paper",
-            "srm_accuracy", "accuracy_floor", "srm_violated",
-        ],
-        [
-            {
-                "seed": row.seed,
-                "violated": int(row.violated),
-                "max_gap": row.max_gap,
-                "bound_at_max": row.bound_at_max,
-                "violated_paper": int(row.violated_paper),
-                "srm_accuracy": row.srm_accuracy,
-                "accuracy_floor": row.accuracy_floor,
-                "srm_violated": int(row.srm_violated),
-            }
-            for row in rows
-        ],
+        [f.name for f in dataclasses.fields(TrialRow)],
+        [vars(row) for row in rows],
     )
     hold_corrected = 1.0 - sum(r.violated for r in rows) / len(rows)
     hold_paper = 1.0 - sum(r.violated_paper for r in rows) / len(rows)
@@ -469,8 +456,8 @@ def cmd_equiv(
     out_path = _out_dir(out)
     write_rows_csv(
         out_path / "equiv.csv",
-        ["s_a", "seed", "acc_coherence", "acc_srm", "gap", "recommended"],
-        [row.to_row() for row in study.rows],
+        [f.name for f in dataclasses.fields(EquivalenceRow)],
+        [vars(row) for row in study.rows],
     )
     gaps = study.mean_gaps()
     write_json(

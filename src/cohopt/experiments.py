@@ -382,16 +382,6 @@ class EquivalenceRow:
     gap: float
     recommended: float
 
-    def to_row(self) -> dict:
-        return {
-            "s_a": self.s_a,
-            "seed": self.seed,
-            "acc_coherence": self.acc_coherence,
-            "acc_srm": self.acc_srm,
-            "gap": self.gap,
-            "recommended": self.recommended,
-        }
-
 
 @dataclass(frozen=True)
 class EquivalenceStudy:

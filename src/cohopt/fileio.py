@@ -8,6 +8,7 @@ partially written files are never observed.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -45,9 +46,12 @@ __all__ = [
 
 
 def _fmt(value) -> str:
-    """Shortest-roundtrip decimal form; stable across runs."""
+    """Shortest-roundtrip decimal form; stable across runs. A flag reads 1
+    or 0."""
     if value is None:
         return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
     if isinstance(value, float) or isinstance(value, np.floating):
         return repr(float(value))
     return str(value)
@@ -301,7 +305,8 @@ def write_distribution_csv(
     masses is the joint mass table the distribution was tempered from, in
     policy-index order; coherence is its log2. Each line is one f-string of
     the label under _quote and the two floats' reprs: the bytes that
-    write_rows_csv writes for the same rows.
+    write_rows_csv writes for the same rows. Raises ValidationError, before
+    anything is written, when two policies get one label.
     """
     if (
         not isinstance(masses, np.ndarray)
@@ -313,7 +318,8 @@ def write_distribution_csv(
         )
     with np.errstate(divide="ignore"):
         chis = np.log2(masses)
-    labels = ("|".join(n) for n in itertools.product(*partition.behaviors))
+    labels = ["|".join(n) for n in itertools.product(*partition.behaviors)]
+    _check_distinct(labels, "policies")
     rows = sorted(
         zip(labels, distribution.masses.tolist(), chis.tolist(), strict=True),
         key=lambda row: (-row[1], row[0]),
@@ -335,7 +341,9 @@ def write_trajectory_csv(
 ) -> Path:
     """Round-by-round trajectory: resampled contexts, policy, coherence.
 
-    The header comment lines carry the config echo and seed.
+    The header comment lines carry the config echo and seed. Raises
+    ValidationError, before anything is written, when two distinct visited
+    policies, or two distinct changed sets, get one cell.
     """
     contexts = [partition.context_names[c] for c in record.contexts]
     meta = {
@@ -360,10 +368,12 @@ def write_trajectory_csv(
     changed = [""] + _cells(
         record.moves.tolist(),
         lambda move: "|".join(map(contexts.__getitem__, move)),
+        "changed sets",
     )
     policies = _cells(
         trajectory.tolist(),
         lambda row: "|".join(map(operator.getitem, behaviors, row)),
+        "visited policies",
     )
     # _csv_line's line: an int and a float repr need no quotes
     lines.extend(
@@ -375,10 +385,11 @@ def write_trajectory_csv(
     return write_text(path, "\n".join(lines) + "\n")
 
 
-def _cells(rows: list[list[int]], text) -> list[str]:
+def _cells(rows: list[list[int]], text, what: str) -> list[str]:
     """The CSV cell of text(row) per row, formatted once per distinct row (a
     trajectory revisits few policies). Keyed by the row itself: a mixed-radix
-    index overflows int64 past 2**63 policies."""
+    index overflows int64 past 2**63 policies. Raises ValidationError when
+    two distinct rows (of what) give one cell."""
     cells: dict[tuple[int, ...], str] = {}
     out = []
     for row in rows:
@@ -387,7 +398,19 @@ def _cells(rows: list[list[int]], text) -> list[str]:
         if cell is None:
             cell = cells[key] = _csv_line([text(row)])
         out.append(cell)
+    _check_distinct(list(cells.values()), what)
     return out
+
+
+def _check_distinct(labels: list[str], what: str) -> None:
+    """Raise ValidationError when two of labels, one per distinct row, are
+    one string: names that hold '|' can join alike, and are not escaped."""
+    if len(set(labels)) < len(labels):
+        label = collections.Counter(labels).most_common(1)[0][0]
+        raise ValidationError(
+            f"two {what} are written as one label {label!r}: behavior or "
+            "context names joined by '|' collide"
+        )
 
 
 def write_experiment_reports(

@@ -1001,38 +1001,24 @@ class Conditioned:
         return masses / masses.sum()
 
     def zero_mass_index(self, cap: int = DEFAULT_ENUMERATION_CAP) -> int | None:
-        """Index, in masses() order, of the first sub-policy of zero mass, or
-        None (_zero_mass_index)."""
-        return _zero_mass_index(
-            self.base, self.log_emissions, self.emissions, self.sizes, cap
-        )
+        """Index, in masses() order, of the first sub-policy of zero mass
+        given the prior, or None; raises EnumerationCapError first when the
+        sub-policies outnumber cap.
 
-
-def _zero_mass_index(
-    base: np.ndarray,
-    log_tables: Sequence[np.ndarray],
-    emissions: Sequence[np.ndarray],
-    sizes: Sequence[int],
-    cap: int,
-) -> int | None:
-    """Index of the first policy of zero mass over the positions of
-    emissions, given per-latent log numerators base, or None; log_tables
-    hold the logs of the emissions as (latents, behaviors) tables, in any
-    grouping of the positions.
-
-    Decided on supports, which cannot underflow: a policy has mass iff some
-    latent with base > -inf has a nonzero emission at every position. A
-    live latent with no zero emission settles it (a Dirichlet system);
-    otherwise the enumerator counts such latents on 0/1 tables."""
-    _check_cap(math.prod(sizes), cap)
-    logs = np.concatenate([base[:, None], *log_tables], axis=1)
-    if logs.min(axis=1).max() > -math.inf:
-        return None
-    live = base > -math.inf
-    ones = [(table > 0.0).astype(np.float64) for table in emissions]
-    counts = _enumerate_masses(live.astype(np.float64), ones, sizes, cap)
-    index = int(counts.argmin())
-    return index if counts[index] == 0.0 else None
+        Decided on supports, which cannot underflow: a sub-policy has mass
+        iff some latent with base > -inf has a nonzero emission at every
+        position. A live latent with no zero emission settles it (a
+        Dirichlet system); otherwise the enumerator counts such latents on
+        0/1 tables."""
+        _check_cap(math.prod(self.sizes), cap)
+        logs = np.concatenate([self.base[:, None], *self.log_emissions], axis=1)
+        if logs.min(axis=1).max() > -math.inf:
+            return None
+        live = self.base > -math.inf
+        ones = [(table > 0.0).astype(np.float64) for table in self.emissions]
+        counts = _enumerate_masses(live.astype(np.float64), ones, self.sizes, cap)
+        index = int(counts.argmin())
+        return index if counts[index] == 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -1055,19 +1041,15 @@ class ErgodicityReport:
 def check_ergodicity(
     system: MixtureBayesSystem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ErgodicityReport:
-    """Positivity check over the d-policy space (_zero_mass_index, the
-    check of Conditioned.zero_mass_index, on the system's own tables)."""
-    partition = system.partition
-    index = _zero_mass_index(
-        system._log_weights,
-        [system._log_emission_rows[:-1].T],
-        system._emissions,
-        partition.sizes,
-        cap,
-    )
+    """Positivity check over the whole d-policy space:
+    Conditioned.zero_mass_index with no prior, its first zero-mass policy
+    the witness."""
+    index = Conditioned(system).zero_mass_index(cap)
     if index is None:
         return ErgodicityReport(positive=True)
-    return ErgodicityReport(positive=False, witness=partition.policy_at(index))
+    return ErgodicityReport(
+        positive=False, witness=system.partition.policy_at(index)
+    )
 
 
 def generic_partition(sizes: Sequence[int]) -> ContextPartition:

@@ -17,6 +17,12 @@ change and its parent) compare byte for byte with
 
 The scenarios are the two under demos/scenarios/ next to this script.
 
+`api-exact-masses/masses.txt` holds the repr of every mass of
+bootstrap_exact_distribution (both visiting orders) and of
+exact_conditional_distribution on both scenarios at each beta of
+EXACT_BETAS, computed in-process: bit for bit what the CLI's 5-decimal
+distances of demo 03 only sample.
+
 Then each demo script in that demos/ directory runs in a subprocess, with
 SRC on its PYTHONPATH, from a copy of demos/ in a temporary directory (as
 tests/test_demos.py runs it), into `demo-<script name>/`: `stdout.txt` holds
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import os
 import shutil
 import subprocess
@@ -45,6 +52,7 @@ SCENARIOS = {
     "condiments": SCENARIO_DIR / "condiments.json",
     "smoothed": SCENARIO_DIR / "condiments_smoothed.json",
 }
+EXACT_BETAS = (0.5, 1.0, 2.0, math.inf)
 POLICIES = (
     "burger_mayo,fries_mayo",
     "burger_mustard,fries_ketchup",
@@ -149,6 +157,44 @@ def commands() -> list[tuple[str, list[str], bool]]:
     return out
 
 
+def exact_mass_lines() -> list[str]:
+    """A heading line per exact distribution, then the repr of each of its
+    masses in policy-index order."""
+    cohopt = importlib.import_module("cohopt")
+    lines = []
+    for tag, path in SCENARIOS.items():
+        system = cohopt.load_scenario(path).system
+        forward = list(range(system.partition.n_contexts))
+        for beta in EXACT_BETAS:
+            tables = {
+                f"bootstrap order={order}": cohopt.bootstrap_exact_distribution(
+                    system, order, beta
+                )
+                for order in (forward, forward[::-1])
+            }
+            tables["exact_conditional"] = cohopt.exact_conditional_distribution(
+                system, beta
+            )
+            for name, distribution in tables.items():
+                lines.append(f"{tag} beta={beta!r} {name}")
+                lines += map(repr, distribution.masses.tolist())
+    return lines
+
+
+def capture_exact_masses(out: Path) -> list[str]:
+    """Write api-exact-masses/masses.txt; ["api-exact-masses"] when that
+    raised (its exception is the file's last line), else []."""
+    directory = out / "api-exact-masses"
+    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        lines, failed = exact_mass_lines(), []
+    except Exception as exc:
+        lines, failed = [f"exception={type(exc).__name__}: {exc}"], ["api-exact-masses"]
+    (directory / "masses.txt").write_text("\n".join(lines) + "\n")
+    print(f"api-exact-masses: {'crashed' if failed else 'written'}")
+    return failed
+
+
 def run_demos(out: Path, src: Path) -> list[str]:
     """Capture every demo script; the names of those that exited nonzero."""
     failed = []
@@ -213,6 +259,7 @@ def main() -> None:
         if config.is_file():
             config.write_text(config.read_text().replace(f"{SCENARIO_DIR}/", ""))
         print(f"{name}: exit {result.exit_code}")
+    crashed += capture_exact_masses(args.out)
     crashed += run_demos(args.out, args.src.resolve())
     if crashed:
         raise SystemExit(f"crashed or exited nonzero: {', '.join(crashed)}")

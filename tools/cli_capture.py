@@ -20,8 +20,8 @@ The scenarios are the two under demos/scenarios/ next to this script.
 `api-exact-masses/masses.txt` holds the repr of every mass of
 bootstrap_exact_distribution (both visiting orders) and of
 exact_conditional_distribution on both scenarios at each beta of
-EXACT_BETAS, computed in-process: bit for bit what the CLI's 5-decimal
-distances of demo 03 only sample.
+EXACT_BETAS, computed in-process, so a drift of one ulp in those masses
+shows; demo 03 prints only distances from them, to 5 decimals.
 
 Then each demo script in that demos/ directory runs in a subprocess, with
 SRC on its PYTHONPATH, from a copy of demos/ in a temporary directory (as
@@ -182,8 +182,8 @@ def exact_mass_lines() -> list[str]:
 
 
 def capture_exact_masses(out: Path) -> list[str]:
-    """Write api-exact-masses/masses.txt; ["api-exact-masses"] when that
-    raised (its exception is the file's last line), else []."""
+    """Write api-exact-masses/masses.txt; ["api-exact-masses"] when
+    exact_mass_lines raised (the file then holds the exception), else []."""
     directory = out / "api-exact-masses"
     directory.mkdir(parents=True, exist_ok=True)
     try:

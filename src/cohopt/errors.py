@@ -8,6 +8,13 @@ EnumerationCapError -> 4.
 
 from __future__ import annotations
 
+__all__ = [
+    "CohoptError",
+    "ValidationError",
+    "DegenerateConditioningError",
+    "EnumerationCapError",
+]
+
 
 class CohoptError(Exception):
     """Base class for all package errors."""

@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import (
     BoundReport,
+    _log_delta_term,
     accuracy_lower_bound,
     agreement,
     conjectured_posttrain_count,
@@ -440,6 +441,7 @@ def equivalence_study(
     seeds = [_check_int(seed, "seed", 0) for seed in seeds]
     if not lattice or not seeds:
         raise ValidationError("need at least one lattice point and one seed")
+    _log_delta_term(delta)
     rows: list[EquivalenceRow] = []
     for seed in seeds:
         for s_a_size in lattice:

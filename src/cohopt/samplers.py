@@ -14,7 +14,7 @@ import bisect
 import math
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,16 +79,11 @@ class SamplerConfig:
             raise ValidationError(
                 f"anchor_weight must be in [0, 1], got {self.anchor_weight}"
             )
+        for name in ("beta", "gamma", "anchor_weight"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def to_dict(self) -> dict:
-        return {
-            "beta": float(self.beta),
-            "steps": self.steps,
-            "seed": self.seed,
-            "gamma": float(self.gamma),
-            "anchor_weight": float(self.anchor_weight),
-            "burn_in": self.burn_in,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SamplerConfig":

@@ -23,6 +23,10 @@ exact_conditional_distribution on both scenarios at each beta of
 EXACT_BETAS, computed in-process, so a drift of one ulp in those masses
 shows; demo 03 prints only distances from them, to 5 decimals.
 
+`api-surface/names.txt` holds one line per public attribute of the
+cohopt package: its name, then its `__module__`, or its type name where it
+has none (a submodule or a constant).
+
 Then each demo script in that demos/ directory runs in a subprocess, with
 SRC on its PYTHONPATH, from a copy of demos/ in a temporary directory (as
 tests/test_demos.py runs it), into `demo-<script name>/`: `stdout.txt` holds
@@ -195,6 +199,21 @@ def capture_exact_masses(out: Path) -> list[str]:
     return failed
 
 
+def capture_api_surface(out: Path) -> None:
+    """Write api-surface/names.txt from dir(cohopt)."""
+    cohopt = importlib.import_module("cohopt")
+    lines = []
+    for name in dir(cohopt):
+        if not name.startswith("_"):
+            value = getattr(cohopt, name)
+            module = getattr(value, "__module__", None) or type(value).__name__
+            lines.append(f"{name} {module}")
+    directory = out / "api-surface"
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "names.txt").write_text("\n".join(lines) + "\n")
+    print("api-surface: written")
+
+
 def run_demos(out: Path, src: Path) -> list[str]:
     """Capture every demo script; the names of those that exited nonzero."""
     failed = []
@@ -259,6 +278,7 @@ def main() -> None:
         if config.is_file():
             config.write_text(config.read_text().replace(f"{SCENARIO_DIR}/", ""))
         print(f"{name}: exit {result.exit_code}")
+    capture_api_surface(args.out)
     crashed += capture_exact_masses(args.out)
     crashed += run_demos(args.out, args.src.resolve())
     if crashed:

@@ -76,6 +76,7 @@ def sequence_coherence(
     """
     state = prior
     partition = system.partition
+    offsets = partition._offsets
     total = 0.0
     for n, (context, behavior) in enumerate(behaviors):
         partition._check_slot(context, behavior)
@@ -83,7 +84,8 @@ def sequence_coherence(
         if step <= 0.0:
             return CoherenceValue(bits=-math.inf, failed_step=n)
         total += math.log2(step)
-        state = state.add_behavior(partition.global_index(context, behavior))
+        # the global index of the slot checked above
+        state = state.add_behavior(offsets[context] + behavior)
     return CoherenceValue(bits=total)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
@@ -70,12 +71,12 @@ class SamplerConfig:
     burn_in: int = 0
 
     def __post_init__(self) -> None:
-        check_beta(self.beta)
+        check_beta(_check_real(self.beta, "beta"))
         for name, low in (("steps", 1), ("seed", 0), ("burn_in", 0)):
             object.__setattr__(self, name, _check_int(getattr(self, name), name, low))
-        if not 0.0 < self.gamma < 1.0:
+        if not 0.0 < _check_real(self.gamma, "gamma") < 1.0:
             raise ValidationError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not 0.0 <= self.anchor_weight <= 1.0:
+        if not 0.0 <= _check_real(self.anchor_weight, "anchor_weight") <= 1.0:
             raise ValidationError(
                 f"anchor_weight must be in [0, 1], got {self.anchor_weight}"
             )
@@ -88,13 +89,35 @@ class SamplerConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SamplerConfig":
         return cls(
-            beta=float(data.get("beta", 1.0)),  # reads "inf" as well
+            beta=_read_float(data, "beta", 1.0),  # reads "inf" as well
             steps=data.get("steps", 1000),
             seed=data.get("seed", 0),
-            gamma=float(data.get("gamma", 0.85)),
-            anchor_weight=float(data.get("anchor_weight", 0.0)),
+            gamma=_read_float(data, "gamma", 0.85),
+            anchor_weight=_read_float(data, "anchor_weight", 0.0),
             burn_in=data.get("burn_in", 0),
         )
+
+
+def _check_real(value, name: str):
+    """value, after raising ValidationError unless it is a real number that
+    float() can convert."""
+    if isinstance(value, numbers.Real):
+        try:
+            float(value)
+            return value
+        except OverflowError:
+            pass
+    raise ValidationError(f"{name} must be a number in the float range, got {value!r}")
+
+
+def _read_float(data: dict, name: str, default: float) -> float:
+    """float() of data[name] (default if absent), a string such as "inf"
+    included; ValidationError where float() cannot read it."""
+    value = data.get(name, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
 
 
 @dataclass

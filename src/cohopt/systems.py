@@ -17,6 +17,7 @@ import math
 import operator
 import sys
 from collections.abc import Collection, Iterator, Mapping, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +149,7 @@ class ContextPartition:
         return self.behaviors[c][a]
 
     def _check_slot(self, context: int, behavior: int) -> None:
-        if not 0 <= context < self.n_contexts:
+        if not 0 <= context < len(self.sizes):
             raise ValidationError(f"context index {context} out of range")
         if not 0 <= behavior < self.sizes[context]:
             raise ValidationError(
@@ -246,13 +247,19 @@ class PolicyState:
         clean: dict[int, int] = {}
         if counts:
             for key, value in counts.items():
-                if value < 0:
-                    raise ValidationError(
-                        f"negative multiplicity {value} for behavior {key}"
-                    )
+                key = _behavior_key(key)
+                value = _check_int(value, f"multiplicity of behavior {key}", 0)
                 if value > 0:
-                    clean[int(key)] = int(value)
+                    clean[key] = value
         self.counts: dict[int, int] = clean
+
+    @classmethod
+    def _of(cls, counts: dict[int, int]) -> "PolicyState":
+        """A state holding counts, a dict of checked int keys and positive
+        int counts, as it is: the one path that skips the checks."""
+        state = cls.__new__(cls)
+        state.counts = counts
+        return state
 
     @classmethod
     def zero(cls) -> "PolicyState":
@@ -266,15 +273,16 @@ class PolicyState:
         return cls(counts)
 
     def add_behavior(self, global_index: int) -> "PolicyState":
+        key = _behavior_key(global_index)
         counts = dict(self.counts)
-        counts[global_index] = counts.get(global_index, 0) + 1
-        return PolicyState(counts)
+        counts[key] = counts.get(key, 0) + 1
+        return PolicyState._of(counts)
 
     def __add__(self, other: "PolicyState") -> "PolicyState":
         counts = dict(self.counts)
         for key, value in other.counts.items():
             counts[key] = counts.get(key, 0) + value
-        return PolicyState(counts)
+        return PolicyState._of(counts)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolicyState) and self.counts == other.counts
@@ -297,6 +305,18 @@ class PolicyState:
 
     def __repr__(self) -> str:
         return f"PolicyState({self.counts!r})"
+
+
+def _behavior_key(key) -> int:
+    """key as an int, after raising ValidationError unless it is an integer
+    (numpy's included); PolicyState keys are global behavior indices, range
+    checked where a system reads them."""
+    try:
+        return operator.index(key)
+    except TypeError:
+        raise ValidationError(
+            f"behavior key {key!r} must be an integer"
+        ) from None
 
 
 def state_of_policy(
@@ -335,9 +355,11 @@ class MixtureBayesSystem:
         weights = np.array(latent_weights, dtype=np.float64, copy=True)
         if weights.ndim != 1 or weights.size == 0:
             raise ValidationError("latent_weights must be a non-empty vector")
-        if not np.all(np.isfinite(weights) & (weights >= 0)):
+        # NaN fails both compares
+        lowest = float(np.minimum.reduce(weights))
+        if not (lowest >= 0.0 and np.maximum.reduce(weights) < math.inf):
             raise ValidationError("latent_weights must be finite and non-negative")
-        if abs(float(weights.sum()) - 1.0) > PROB_ATOL:
+        if abs(float(np.add.reduce(weights)) - 1.0) > PROB_ATOL:
             raise ValidationError(
                 f"latent_weights sum to {weights.sum()!r}, expected 1 ± {PROB_ATOL}"
             )
@@ -346,40 +368,62 @@ class MixtureBayesSystem:
                 f"got {len(emissions)} emission tables for "
                 f"{partition.n_contexts} contexts"
             )
+        # each run of consecutive contexts of one size is copied into one
+        # stacked block, whose contexts are the system's emission tables;
+        # blocks holds (first context, block) per run read so far
+        blocks: list[tuple[int, np.ndarray]] = []
         rows: list[np.ndarray] = []
-        # one stacked check per run of consecutive contexts of one size
         for size, run in itertools.groupby(
             range(partition.n_contexts), partition.sizes.__getitem__
         ):
             run = list(run)
-            tables: list[np.ndarray] = []
-            for c in run:
-                arr = np.array(emissions[c], dtype=np.float64, copy=True)
+            block = np.empty((len(run), weights.size, size))
+            for i, c in enumerate(run):
+                # the contexts before c come first: every earlier run, and
+                # for a wrong shape the contexts of its run before it too
+                try:
+                    arr = np.asarray(emissions[c], dtype=np.float64)
+                except Exception:
+                    _check_emission_blocks(blocks)
+                    raise
                 if arr.shape != (weights.size, size):
-                    # the contexts before c come first
-                    if tables:
-                        _check_emission_rows(np.array(tables), run[0])
+                    _check_emission_blocks([*blocks, (run[0], block[:i])])
                     raise ValidationError(
                         f"emissions[{c}] has shape {arr.shape}, expected "
                         f"{(weights.size, size)}"
                     )
-                tables.append(arr)
-            _check_emission_rows(np.array(tables), run[0])
-            rows.extend(tables)
-        # systems are shared across concurrent evaluators; freeze the arrays
+                block[i] = arr
+            # systems are shared across concurrent evaluators; freeze the
+            # arrays (views of a frozen block are frozen)
+            block.setflags(write=False)
+            blocks.append((run[0], block))
+            rows.extend(block)
         weights.setflags(write=False)
-        for arr in rows:
-            arr.setflags(write=False)
         self.latent_weights = weights
         self._emissions = tuple(rows)
 
-        # one row of log emissions per global behavior index, then the log
-        # of a row of ones: the zero row a skipped position reads in
+        # one row of emissions per global behavior index, then a row of
+        # ones, whose log is the zero row a skipped position reads in
         # Conditioned.numerators; C-ordered, so that its gather copies whole
         # rows rather than strided columns, with the log taken in place
         table = np.empty((partition.n_behaviors + 1, weights.size))
-        np.concatenate([*(arr.T for arr in rows), np.ones((1, weights.size))], out=table)
-        with np.errstate(divide="ignore"):
+        np.concatenate([arr.T for arr in rows], out=table[:-1])
+        table[-1] = 1.0
+        lowest = min(lowest, float(np.minimum.reduce(table, axis=None)))
+        # one entry check over the table, then one check of every row sum,
+        # each summed along its run's block as _check_emission_rows sums it
+        # (entries in [0, 1] cannot overflow a sum, so this raises no
+        # warning); where either fails, the per-run checks name the first
+        # offender, or pass a valid table with an entry just above 1
+        valid = lowest >= 0.0 and np.maximum.reduce(table, axis=None) <= 1.0
+        if valid:
+            sums = np.concatenate([block.sum(axis=-1) for _, block in blocks], axis=None)
+            valid = np.maximum.reduce(np.abs(sums - 1.0)) <= PROB_ATOL
+        if not valid:
+            _check_emission_blocks(blocks)
+        # np.errstate costs about as much as both logs: it silences the
+        # divide flag only where some weight or emission is zero
+        with np.errstate(divide="ignore") if lowest == 0.0 else nullcontext():
             self._log_weights = np.log(weights)
             self._log_emission_rows = np.log(table, out=table)
         self._log_emission_rows.setflags(write=False)
@@ -394,12 +438,18 @@ class MixtureBayesSystem:
     def log_posterior_numerators(self, state: PolicyState) -> np.ndarray:
         """Natural-log of prior × state likelihood per latent (-inf allowed)."""
         out = self._log_weights.copy()
+        rows = self._log_emission_rows
+        n_behaviors = self.partition.n_behaviors
         for key, count in state.counts.items():
-            if not 0 <= key < self.partition.n_behaviors:
+            if not 0 <= key < n_behaviors:
                 raise ValidationError(
                     f"state references unknown behavior index {key}"
                 )
-            out += count * self._log_emission_rows[key]
+            # 1·x is x bitwise, -inf included: one add, no multiply
+            if count == 1:
+                out += rows[key]
+            else:
+                out += count * rows[key]
         return out
 
     def __repr__(self) -> str:
@@ -407,6 +457,12 @@ class MixtureBayesSystem:
             f"MixtureBayesSystem(n_latents={self.n_latents}, "
             f"sizes={self.partition.sizes})"
         )
+
+
+def _check_emission_blocks(blocks: Sequence[tuple[int, np.ndarray]]) -> None:
+    """_check_emission_rows of each (first context, block) in order."""
+    for first, block in blocks:
+        _check_emission_rows(block, first)
 
 
 def _check_emission_rows(block: np.ndarray, first: int) -> None:
@@ -441,6 +497,11 @@ def infer(
     for ``state``.
     """
     system.partition._check_slot(context, 0)
+    return _predictive(system, _state_weights(system, state), context)
+
+
+def _state_weights(system: MixtureBayesSystem, state: PolicyState) -> np.ndarray:
+    """The posterior weights of a state, as infer() weighs it."""
     log_post = system.log_posterior_numerators(state)
     try:
         weights, _ = Conditioned.posterior_weights(log_post)
@@ -449,8 +510,15 @@ def infer(
             "degenerate conditioning: every latent has zero likelihood for "
             f"state {state.describe(system.partition)}"
         ) from None
-    predictive = weights @ system.emissions(context)
-    return predictive / float(predictive.sum())
+    return weights
+
+
+def _predictive(
+    system: MixtureBayesSystem, weights: np.ndarray, context: int
+) -> np.ndarray:
+    """infer() at one checked context, from the state's posterior weights."""
+    predictive = weights @ system._emissions[context]
+    return predictive / float(np.add.reduce(predictive))
 
 
 def _ties(p: np.ndarray, top: float) -> np.ndarray:
@@ -617,8 +685,10 @@ def check_chain_rule(
     partition = system.partition
     g1 = partition.global_index(context1, behavior1)
     g2 = partition.global_index(context2, behavior2)
-    first = float(infer(system, state, context1)[behavior1])
-    second = float(infer(system, state, context2)[behavior2])
+    # both first factors from one fold of the state, each bitwise its infer()
+    weights = _state_weights(system, state)
+    first = float(_predictive(system, weights, context1)[behavior1])
+    second = float(_predictive(system, weights, context2)[behavior2])
     lhs = first * (
         float(infer(system, state.add_behavior(g1), context2)[behavior2])
         if first > 0
@@ -952,7 +1022,7 @@ class Conditioned:
         """Posterior weights exp(n - top) per latent, max-shifted so the
         largest is 1, and the shift top. Raises DegenerateConditioningError
         when every latent has zero likelihood."""
-        top = float(log_numerators.max())
+        top = float(np.maximum.reduce(log_numerators))
         if top == -math.inf:
             raise DegenerateConditioningError(
                 "degenerate conditioning: every latent has zero likelihood "

@@ -23,6 +23,12 @@ exact_conditional_distribution on both scenarios at each beta of
 EXACT_BETAS, computed in-process, so a drift of one ulp in those masses
 shows; demo 03 prints only distances from them, to 5 decimals.
 
+`api-oracle/values.txt` holds the float.hex of every max_residual of
+run_all_sweeps at each (cases, seed) of SWEEP_RUNS, then, on both
+scenarios, the repr of infer() at every context and of sequence_coherence()
+over every policy in context order, from the zero state and from each
+prior of ORACLE_PRIORS; `cohopt check` prints its residuals to 4 digits.
+
 `api-surface/names.txt` holds one line per public attribute of the
 cohopt package: its name, then its `__module__`, or its type name where it
 has none (a submodule or a constant).
@@ -57,6 +63,9 @@ SCENARIOS = {
     "smoothed": SCENARIO_DIR / "condiments_smoothed.json",
 }
 EXACT_BETAS = (0.5, 1.0, 2.0, math.inf)
+SWEEP_RUNS = ((40, 0), (40, 1), (40, 2), (40, 3), (40, 4), (40, 5), (25, 0))
+# priors of the oracle capture: the ground truth's two labels, once and twice
+ORACLE_PRIORS = (1, 2)
 POLICIES = (
     "burger_mayo,fries_mayo",
     "burger_mustard,fries_ketchup",
@@ -185,17 +194,59 @@ def exact_mass_lines() -> list[str]:
     return lines
 
 
-def capture_exact_masses(out: Path) -> list[str]:
-    """Write api-exact-masses/masses.txt; ["api-exact-masses"] when
-    exact_mass_lines raised (the file then holds the exception), else []."""
-    directory = out / "api-exact-masses"
+def oracle_lines() -> list[str]:
+    """A heading line per sweep run, then the float.hex of each residual;
+    then per scenario and state, the repr of every infer() and
+    sequence_coherence() value (or of the exception it raised)."""
+    cohopt = importlib.import_module("cohopt")
+    lines = []
+    for cases, seed in SWEEP_RUNS:
+        lines.append(f"run_all_sweeps cases={cases} seed={seed}")
+        lines += (
+            f"{result.name} {result.max_residual.hex()}"
+            for result in cohopt.run_all_sweeps(cases, seed)
+        )
+    for tag, path in SCENARIOS.items():
+        scenario = cohopt.load_scenario(path)
+        system = scenario.system
+        partition = system.partition
+        truth = cohopt.state_of_policy(partition, scenario.ground_truth)
+        states = {"zero": cohopt.PolicyState.zero()}
+        for n in ORACLE_PRIORS:
+            states[f"truth x{n}"] = cohopt.PolicyState(
+                {key: n * count for key, count in truth.counts.items()}
+            )
+        for label, state in states.items():
+            lines.append(f"{tag} state={label} {state!r}")
+            for c in range(partition.n_contexts):
+                lines.append(f"infer {c} {_value(cohopt.infer, system, state, c)}")
+            for policy in partition.iter_policies():
+                pairs = list(enumerate(policy.assignment))
+                value = _value(cohopt.sequence_coherence, system, state, pairs)
+                lines.append(f"sequence {policy.assignment} {value}")
+    return lines
+
+
+def _value(function, *args) -> str:
+    """repr of function(*args), a float array as a list; or the exception."""
+    try:
+        value = function(*args)
+    except Exception as exc:
+        return f"exception={type(exc).__name__}: {exc}"
+    return repr(value.tolist() if hasattr(value, "tolist") else value)
+
+
+def capture_lines(out: Path, name: str, file: str, lines_of) -> list[str]:
+    """Write name/file from lines_of(); [name] when it raised (the file then
+    holds the exception), else []."""
+    directory = out / name
     directory.mkdir(parents=True, exist_ok=True)
     try:
-        lines, failed = exact_mass_lines(), []
+        lines, failed = lines_of(), []
     except Exception as exc:
-        lines, failed = [f"exception={type(exc).__name__}: {exc}"], ["api-exact-masses"]
-    (directory / "masses.txt").write_text("\n".join(lines) + "\n")
-    print(f"api-exact-masses: {'crashed' if failed else 'written'}")
+        lines, failed = [f"exception={type(exc).__name__}: {exc}"], [name]
+    (directory / file).write_text("\n".join(lines) + "\n")
+    print(f"{name}: {'crashed' if failed else 'written'}")
     return failed
 
 
@@ -279,7 +330,8 @@ def main() -> None:
             config.write_text(config.read_text().replace(f"{SCENARIO_DIR}/", ""))
         print(f"{name}: exit {result.exit_code}")
     capture_api_surface(args.out)
-    crashed += capture_exact_masses(args.out)
+    crashed += capture_lines(args.out, "api-exact-masses", "masses.txt", exact_mass_lines)
+    crashed += capture_lines(args.out, "api-oracle", "values.txt", oracle_lines)
     crashed += run_demos(args.out, args.src.resolve())
     if crashed:
         raise SystemExit(f"crashed or exited nonzero: {', '.join(crashed)}")

@@ -32,6 +32,7 @@ from .systems import (
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    _check_index,
     _check_int,
     _check_mixtures,
     _draw_mixture,
@@ -96,15 +97,18 @@ class AgreementStats:
     subset_size: int
 
 
-def tv_distance(p: PolicyDistribution, q: PolicyDistribution) -> float:
-    """Half the L1 distance between two distributions on the same space."""
-    if len(p) != len(q) or (
-        p.sizes is not None and q.sizes is not None and p.sizes != q.sizes
-    ):
+def _check_support(p: PolicyDistribution, q: PolicyDistribution) -> None:
+    """Raise ValidationError unless p and q enumerate one policy space."""
+    if len(p) != len(q) or (None not in (p.sizes, q.sizes) and p.sizes != q.sizes):
         raise ValidationError(
             f"support mismatch: {len(p)} policies (sizes {p.sizes}) vs "
             f"{len(q)} policies (sizes {q.sizes})"
         )
+
+
+def tv_distance(p: PolicyDistribution, q: PolicyDistribution) -> float:
+    """Half the L1 distance between two distributions on the same space."""
+    _check_support(p, q)
     return 0.5 * float(np.abs(p.masses - q.masses).sum())
 
 
@@ -144,7 +148,7 @@ def agreement(
     policy1: DPolicy, policy2: DPolicy, subset: Sequence[int]
 ) -> AgreementStats:
     """Fraction of the given contexts where the two policies coincide."""
-    positions = list(subset)
+    positions = [_check_index(c, "context index") for c in subset]
     if not positions:
         raise ValidationError("agreement needs a non-empty context subset")
     if len(policy1) != len(policy2):
@@ -309,9 +313,7 @@ def srm_select(
     break toward higher coherence, then lower policy index.
     """
     partition = system.partition
-    samples = [(int(c), int(a)) for c, a in train_samples]
-    for c, a in samples:
-        partition._check_slot(c, a)
+    samples = [partition._check_slot(c, a) for c, a in train_samples]
     n_train = len(samples) if N is None else N
     if samples:
         n_train = _check_int(n_train, "N")
@@ -332,7 +334,7 @@ def srm_select(
         coords = np.unravel_index(index, partition.sizes)
         alpha_train = sum(coords[c] == a for c, a in samples) / n_train
     picked = _srm_pick(chi, alpha_train, n_train, log_term)
-    return partition.policy_at(int(index[picked]))
+    return partition.policy_at(index[picked])
 
 
 def _srm_pick(
@@ -365,10 +367,7 @@ def distribution_entropy(q: PolicyDistribution) -> float:
 
 def distribution_kl(q: PolicyDistribution, p: PolicyDistribution) -> float:
     """KL divergence in bits; +inf when q puts mass where p has none."""
-    if len(q) != len(p):
-        raise ValidationError(
-            f"support mismatch: {len(q)} vs {len(p)} policies"
-        )
+    _check_support(q, p)
     support = q.masses > 0
     if np.any(p.masses[support] <= 0):
         return math.inf

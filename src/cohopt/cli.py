@@ -78,7 +78,7 @@ def _guard(fn):
 
 def _parse_beta(_ctx, _param, value: str) -> float:
     try:
-        beta = math.inf if value.lower() in ("inf", "+inf") else float(value)
+        beta = float(value)
     except ValueError:
         raise click.BadParameter(f"not a number: {value!r}") from None
     try:

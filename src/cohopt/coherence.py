@@ -79,7 +79,7 @@ def sequence_coherence(
     offsets = partition._offsets
     total = 0.0
     for n, (context, behavior) in enumerate(behaviors):
-        partition._check_slot(context, behavior)
+        context, behavior = partition._check_slot(context, behavior)
         step = float(infer(system, state, context)[behavior])
         if step <= 0.0:
             return CoherenceValue(bits=-math.inf, failed_step=n)
@@ -201,13 +201,12 @@ def quotient_coherence(
     partial_policy maps each context of subset_a to a behavior; it must cover
     exactly subset_a.
     """
-    for context in spec.subset_a:
-        system.partition._check_slot(context, 0)
-    if set(partial_policy) != set(spec.subset_a):
+    subset = [system.partition._check_slot(c, 0)[0] for c in spec.subset_a]
+    if set(partial_policy) != set(subset):
         raise ValidationError(
             "partial policy must cover exactly the subset contexts"
         )
-    pairs = [(context, partial_policy[context]) for context in spec.subset_a]
+    pairs = [(context, partial_policy[context]) for context in subset]
     return sequence_coherence(system, spec.base_state, pairs)
 
 
@@ -260,9 +259,7 @@ def check_prior_encodes_samples(
     partition = system.partition
     zero = PolicyState.zero()
     full = coherence(system, zero, policy).bits
-    set_a = tuple(sorted(set(subset_a)))
-    for context in set_a:
-        partition._check_slot(context, 0)
+    set_a = tuple(sorted({partition._check_slot(c, 0)[0] for c in subset_a}))
     set_b = tuple(c for c in range(partition.n_contexts) if c not in set_a)
     pairs_a = [(c, policy.assignment[c]) for c in set_a]
     pairs_b = [(c, policy.assignment[c]) for c in set_b]

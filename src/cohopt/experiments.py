@@ -43,6 +43,7 @@ from .systems import (
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    _check_index,
     _check_int,
     _tie_search,
     _ties,
@@ -80,6 +81,9 @@ class Scenario:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("supervised", "unsupervised"):
+            split = tuple(_check_index(c, f"{name} context") for c in getattr(self, name))
+            object.__setattr__(self, name, split)
         overlap = set(self.supervised) & set(self.unsupervised)
         if overlap:
             raise ValidationError(f"split overlaps on contexts {sorted(overlap)}")

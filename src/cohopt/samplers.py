@@ -29,6 +29,7 @@ from .systems import (
     PolicyState,
     _BLOCK_ENTRIES,
     _check_cap,
+    _check_index,
     _check_int,
     _tempered_rows,
     _tempered_weights,
@@ -765,7 +766,7 @@ def debate_run(
 
 
 def _visiting_order(context_order: Sequence[int], k: int) -> tuple[int, ...]:
-    order = tuple(int(j) for j in context_order)
+    order = tuple(_check_index(j, "context_order position") for j in context_order)
     if sorted(order) != list(range(k)):
         raise ValidationError(
             "context_order must visit each covered context exactly once"

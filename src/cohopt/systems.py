@@ -11,7 +11,6 @@ All likelihood products are accumulated in natural-log space (zeros become
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -105,6 +104,7 @@ class ContextPartition:
                     )
                 seen[name] = (c, a)
         self._by_name = seen
+        self._slots = tuple(seen.values())  # locate()'s (context, behavior)
         self.sizes: tuple[int, ...] = tuple(len(row) for row in self.behaviors)
         offsets = [0]
         for size in self.sizes:
@@ -124,15 +124,15 @@ class ContextPartition:
 
     def global_index(self, context: int, behavior: int) -> int:
         """Flat behavior index across all contexts."""
-        self._check_slot(context, behavior)
+        context, behavior = self._check_slot(context, behavior)
         return self._offsets[context] + behavior
 
     def locate(self, global_index: int) -> tuple[int, int]:
         """Inverse of :meth:`global_index`: (context, local behavior)."""
+        global_index = _check_index(global_index, "behavior index")
         if not 0 <= global_index < self.n_behaviors:
             raise ValidationError(f"behavior index {global_index} out of range")
-        c = bisect.bisect_right(self._offsets, global_index) - 1
-        return c, global_index - self._offsets[c]
+        return self._slots[global_index]
 
     def locate_name(self, name: str) -> tuple[int, int]:
         try:
@@ -148,7 +148,13 @@ class ContextPartition:
         c, a = self.locate(global_index)
         return self.behaviors[c][a]
 
-    def _check_slot(self, context: int, behavior: int) -> None:
+    def _check_slot(self, context: int, behavior: int) -> tuple[int, int]:
+        """(context, behavior) as ints, after checking that they name a slot."""
+        try:
+            context, behavior = operator.index(context), operator.index(behavior)
+        except TypeError:  # name the one that is not an integer
+            _check_index(context, "context index")
+            _check_index(behavior, "behavior index")
         if not 0 <= context < len(self.sizes):
             raise ValidationError(f"context index {context} out of range")
         if not 0 <= behavior < self.sizes[context]:
@@ -156,6 +162,7 @@ class ContextPartition:
                 f"behavior index {behavior} out of range for context "
                 f"'{self.context_names[context]}'"
             )
+        return context, behavior
 
     # --- d-policy space enumeration (index order: context 0 most significant)
 
@@ -165,11 +172,12 @@ class ContextPartition:
     def policy_index(self, assignment: Sequence[int]) -> int:
         idx = 0
         for c, a in enumerate(assignment):
-            self._check_slot(c, a)
+            c, a = self._check_slot(c, a)
             idx = idx * self.sizes[c] + a
         return idx
 
     def policy_at(self, index: int) -> "DPolicy":
+        index = _check_index(index, "policy index")
         if not 0 <= index < self.policy_count():
             raise ValidationError(f"policy index {index} out of range")
         assignment = [0] * self.n_contexts
@@ -247,7 +255,7 @@ class PolicyState:
         clean: dict[int, int] = {}
         if counts:
             for key, value in counts.items():
-                key = _behavior_key(key)
+                key = _check_index(key, "behavior key")
                 value = _check_int(value, f"multiplicity of behavior {key}", 0)
                 if value > 0:
                     clean[key] = value
@@ -273,7 +281,7 @@ class PolicyState:
         return cls(counts)
 
     def add_behavior(self, global_index: int) -> "PolicyState":
-        key = _behavior_key(global_index)
+        key = _check_index(global_index, "behavior key")
         counts = dict(self.counts)
         counts[key] = counts.get(key, 0) + 1
         return PolicyState._of(counts)
@@ -307,16 +315,13 @@ class PolicyState:
         return f"PolicyState({self.counts!r})"
 
 
-def _behavior_key(key) -> int:
-    """key as an int, after raising ValidationError unless it is an integer
-    (numpy's included); PolicyState keys are global behavior indices, range
-    checked where a system reads them."""
+def _check_index(value, name: str) -> int:
+    """value as an int, after raising ValidationError unless it is an integer
+    (numpy's included): the one test of an index, range checked where read."""
     try:
-        return operator.index(key)
+        return operator.index(value)
     except TypeError:
-        raise ValidationError(
-            f"behavior key {key!r} must be an integer"
-        ) from None
+        raise ValidationError(f"{name} {value!r} must be an integer") from None
 
 
 def state_of_policy(
@@ -326,6 +331,9 @@ def state_of_policy(
 ) -> PolicyState:
     """Sum of a d-policy's behaviors over the given contexts (default: all)."""
     indices = range(partition.n_contexts) if contexts is None else contexts
+    indices = [partition._check_slot(c, 0)[0] for c in indices]
+    if indices and max(indices) >= len(policy):
+        raise ValidationError(f"{policy} has no behavior for context {max(indices)}")
     return PolicyState.from_behaviors(
         [partition.global_index(c, policy.assignment[c]) for c in indices]
     )
@@ -603,6 +611,8 @@ def temper(probabilities: np.ndarray, beta: float) -> np.ndarray:
     """
     check_beta(beta)
     p = np.asarray(probabilities, dtype=np.float64)
+    if p.size == 0:
+        raise ValidationError("no masses to temper")
     top = float(p.max())
     if not (float(p.min()) >= 0.0 and top < math.inf):
         raise ValidationError("masses to temper must be finite and non-negative")
@@ -905,21 +915,19 @@ class Conditioned:
         partition = system.partition
         if contexts is None:
             contexts = range(partition.n_contexts)
-        self.contexts = tuple(int(c) for c in contexts)
+        self.contexts = tuple(_check_index(c, "context index") for c in contexts)
         if len(set(self.contexts)) != len(self.contexts):
             raise ValidationError("context subset has repeated indices")
-        for c in self.contexts:
-            partition._check_slot(c, 0)
+        # position j, behavior a reads system row offsets[j] + a;
+        # global_index range checks each context
+        self._offsets = np.array(
+            [partition.global_index(c, 0) for c in self.contexts], dtype=np.int64
+        )
         self.prior = prior if prior is not None else PolicyState.zero()
         self.sizes = tuple(partition.sizes[c] for c in self.contexts)
         self.emissions = [system.emissions(c) for c in self.contexts]
         self.base = system.log_posterior_numerators(self.prior)
-        # position j, behavior a reads system row offsets[j] + a, and
-        # log_emissions[j] is the (latents, behaviors) view of j's rows
         self._rows = system._log_emission_rows
-        self._offsets = np.array(
-            [partition._offsets[c] for c in self.contexts], dtype=np.int64
-        )
         self.log_emissions = [
             self._rows[offset : offset + size].T
             for offset, size in zip(self._offsets.tolist(), self.sizes)

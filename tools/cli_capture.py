@@ -29,6 +29,11 @@ scenarios, the repr of infer() at every context and of sequence_coherence()
 over every policy in context order, from the zero state and from each
 prior of ORACLE_PRIORS; `cohopt check` prints its residuals to 4 digits.
 
+`api-index-checks/outcomes.txt` holds one line per call of INDEX_PROBES,
+each passing a non-integer (or unreachable) context, behavior, position or
+policy index to a public function: `label -> ok <repr>` with the value it
+returned, or `label -> <type>: <message>` with the exception it raised.
+
 `api-surface/names.txt` holds one line per public attribute of the
 cohopt package: its name, then its `__module__`, or its type name where it
 has none (a submodule or a constant).
@@ -84,6 +89,36 @@ BOUNDS = {
     "accuracy-nan": ["--bound", "accuracy", "--gap", "2", "--n", "10", "--delta", "0.1", "--sign", "paper"],
     "uniform-inf": ["--bound", "uniform", "--chi", "-inf", "--n", "10", "--delta", "0.1"],
 }
+
+# evaluated against INDEX_SETUP's names; the label of each line is its call
+INDEX_SETUP = (
+    "s = random_mixture_system(generic_partition([3, 3, 3]), 2, np.random.default_rng(0))\n"
+    "p = s.partition\n"
+    "zero = PolicyState()"
+)
+INDEX_PROBES = (
+    "p.policy_at(2.5)",
+    "p.policy_index([0.5, 1, 1])",
+    "p.locate(1.5)",
+    "gibbs_run(s, DPolicy((0, 0)), SamplerConfig(steps=2), contexts=[0.5, 1.5]).contexts",
+    "exact_conditional_distribution(s, 1.0, contexts=[0.9, 1.9]).masses",
+    "simple_bootstrap_run(s, [0.7, 1.2, 2.0], SamplerConfig()).order",
+    'bootstrap_exact_distribution(s, ["0", "1", "2"], 1.0).masses',
+    "srm_select(s, zero, None, [(0.9, 1.9)])",
+    'bootstrap_exact_distribution(s, ["a", "b", "c"], 1.0).masses',
+    "infer(s, zero, 0.5)",
+    "p.global_index(0.5, 1)",
+    "p.behavior_name(0, 1.5)",
+    "check_chain_rule(s, zero, 0.5, 0, 1, 0)",
+    "agreement(DPolicy((0, 1)), DPolicy((0, 1)), [0.5])",
+    "check_prior_encodes_samples(s, DPolicy((0, 1, 2)), [0.5])",
+    "quotient_coherence(s, QuotientSpec((0.5,), zero), {0.5: 1})",
+    "sequence_coherence(s, zero, [(0, 0.5)])",
+    "state_of_policy(p, DPolicy((0, 1, 2)), [5])",
+    "state_of_policy(p, DPolicy((0,)))",
+    "Scenario(s, DPolicy((0, 1, 2)), (0.0,), (1.0, 2.0), 0).supervised",
+    "Scenario(s, DPolicy((0, 1, 2)), (0.0,), (1.0, 2.0), 0).prior_state",
+)
 
 
 def commands() -> list[tuple[str, list[str], bool]]:
@@ -227,6 +262,23 @@ def oracle_lines() -> list[str]:
     return lines
 
 
+def index_check_lines() -> list[str]:
+    """`label -> ok <repr>` or `label -> <type>: <message>` per probe."""
+    cohopt = importlib.import_module("cohopt")
+    names = {"np": importlib.import_module("numpy"), **vars(cohopt)}
+    exec(INDEX_SETUP, names)
+    lines = []
+    for label in INDEX_PROBES:
+        try:
+            value = eval(label, names)
+        except Exception as exc:
+            lines.append(f"{label} -> {type(exc).__name__}: {exc}")
+            continue
+        value = value.tolist() if hasattr(value, "tolist") else value
+        lines.append(f"{label} -> ok {value!r}")
+    return lines
+
+
 def _value(function, *args) -> str:
     """repr of function(*args), a float array as a list; or the exception."""
     try:
@@ -332,6 +384,9 @@ def main() -> None:
     capture_api_surface(args.out)
     crashed += capture_lines(args.out, "api-exact-masses", "masses.txt", exact_mass_lines)
     crashed += capture_lines(args.out, "api-oracle", "values.txt", oracle_lines)
+    crashed += capture_lines(
+        args.out, "api-index-checks", "outcomes.txt", index_check_lines
+    )
     crashed += run_demos(args.out, args.src.resolve())
     if crashed:
         raise SystemExit(f"crashed or exited nonzero: {', '.join(crashed)}")

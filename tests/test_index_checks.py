@@ -149,26 +149,26 @@ NUMPY_INTS = [np.int64, np.uint8]
 @pytest.mark.parametrize("kind", NUMPY_INTS)
 def test_numpy_context_subsets_and_orders_match_python_ints(kind):
     plain = Conditioned(WIDE, contexts=[2, 0])
-    numpy = Conditioned(WIDE, contexts=[kind(2), kind(0)])
-    assert numpy.contexts == plain.contexts
-    assert np.array_equal(numpy.masses(), plain.masses())
+    cast = Conditioned(WIDE, contexts=[kind(2), kind(0)])
+    assert cast.contexts == plain.contexts
+    assert np.array_equal(cast.masses(), plain.masses())
     config = SamplerConfig(seed=3)
     order = [kind(2), kind(0), kind(1)]
     assert simple_bootstrap_run(WIDE, order, config) == simple_bootstrap_run(
         WIDE, [2, 0, 1], config
     )
-    system = S  # the exact distribution enumerates every policy
+    # the exact distribution enumerates every policy: the small system
     assert np.array_equal(
-        bootstrap_exact_distribution(system, [kind(1), kind(2), kind(0)], 2.0).masses,
-        bootstrap_exact_distribution(system, [1, 2, 0], 2.0).masses,
+        bootstrap_exact_distribution(S, [kind(1), kind(2), kind(0)], 2.0).masses,
+        bootstrap_exact_distribution(S, [1, 2, 0], 2.0).masses,
     )
 
 
 @pytest.mark.parametrize("kind", NUMPY_INTS)
 def test_numpy_srm_labels_match_python_ints(kind):
     labels = [(2, 1), (0, 150)]
-    numpy = [(kind(c), kind(a)) for c, a in labels]
-    assert srm_select(WIDE, ZERO, None, numpy) == srm_select(WIDE, ZERO, None, labels)
+    cast = [(kind(c), kind(a)) for c, a in labels]
+    assert srm_select(WIDE, ZERO, None, cast) == srm_select(WIDE, ZERO, None, labels)
 
 
 @pytest.mark.parametrize("kind", NUMPY_INTS)
@@ -191,8 +191,8 @@ def test_numpy_oracle_indices_match_python_ints(kind):
     for c in range(3):
         assert np.array_equal(infer(WIDE, prior, kind(c)), infer(WIDE, prior, c))
     pairs = [(2, 1), (0, 150), (1, 59), (2, 1)]
-    numpy = [(kind(c), kind(a)) for c, a in pairs]
-    assert sequence_coherence(WIDE, prior, numpy) == sequence_coherence(
+    cast = [(kind(c), kind(a)) for c, a in pairs]
+    assert sequence_coherence(WIDE, prior, cast) == sequence_coherence(
         WIDE, prior, pairs
     )
 
@@ -201,8 +201,8 @@ def test_numpy_oracle_indices_match_python_ints(kind):
 def test_numpy_state_of_policy_matches_python_ints(kind):
     partition = WIDE.partition
     policy = DPolicy((5, 6, 1))
-    numpy = DPolicy(tuple(kind(a) for a in policy.assignment))
-    assert state_of_policy(partition, numpy) == state_of_policy(partition, policy)
+    cast = DPolicy(tuple(kind(a) for a in policy.assignment))
+    assert state_of_policy(partition, cast) == state_of_policy(partition, policy)
     assert state_of_policy(partition, policy, [kind(2), kind(0)]) == (
         state_of_policy(partition, policy, [2, 0])
     )

@@ -145,7 +145,10 @@ class RunRecord:
         return int(self.trajectory.shape[0])
 
     def policy_at(self, round_index: int) -> DPolicy:
-        return DPolicy(tuple(int(a) for a in self.trajectory[round_index]))
+        i = _check_index(round_index, "round index")
+        if not 0 <= i < len(self):
+            raise ValidationError(f"round index {i} out of range")
+        return DPolicy(tuple(int(a) for a in self.trajectory[i]))
 
     def policy_indices(self) -> np.ndarray:
         """Mixed-radix index of every visited policy over the covered space."""
@@ -633,6 +636,11 @@ def gibbs_run(
     assignment = trajectory[0].copy()
     state = assignment.tolist()
     index = kept.index(state)
+    # each step's coherence, kept by index * k + j after the move (one to
+    # one with rest, j and a) where there are no more keys than steps, so
+    # the list is never longer than coherence_bits
+    keys = k * math.prod(core.sizes)
+    memo = [None] * keys if keys <= config.steps else None
 
     # the draws as Python numbers, a block of steps at a time, so that
     # converting them adds no memory per step
@@ -648,7 +656,12 @@ def gibbs_run(
             state[j] = assignment[j] = a
             index = rest + a * strides[j]
             drawn.append(a)
-            bits.append((top + math.log(masses[a]) - log_prior_ml) / LN2)
+            value = None if memo is None else memo[index * k + j]
+            if value is None:
+                value = (top + math.log(masses[a]) - log_prior_ml) / LN2
+                if memo is not None:
+                    memo[index * k + j] = value
+            bits.append(value)
         coherence_bits[lo + 1 : hi + 1] = bits
         _forward_fill(trajectory[lo : hi + 1], picks[lo:hi], drawn)
 

@@ -170,6 +170,11 @@ class ContextPartition:
         return math.prod(self.sizes)
 
     def policy_index(self, assignment: Sequence[int]) -> int:
+        if len(assignment) != self.n_contexts:
+            raise ValidationError(
+                f"assignment {assignment!r} does not hold one behavior for "
+                f"each of {self.n_contexts} contexts"
+            )
         idx = 0
         for c, a in enumerate(assignment):
             c, a = self._check_slot(c, a)

@@ -34,6 +34,11 @@ each passing a non-integer (or unreachable) context, behavior, position or
 policy index to a public function: `label -> ok <repr>` with the value it
 returned, or `label -> <type>: <message>` with the exception it raised.
 
+`api-step-bits/bits.txt` holds the float.hex of every coherence_bits row
+of a STEP_BITS_STEPS-step gibbs_run at each beta of EXACT_BETAS, on a dense
+3x3x3 two-latent mixture and on a joint table at epsilon 0 with zero cells,
+so a drift of one ulp in a chain's per-step coherence shows.
+
 `api-surface/names.txt` holds one line per public attribute of the
 cohopt package: its name, then its `__module__`, or its type name where it
 has none (a submodule or a constant).
@@ -69,6 +74,7 @@ SCENARIOS = {
 }
 EXACT_BETAS = (0.5, 1.0, 2.0, math.inf)
 SWEEP_RUNS = ((40, 0), (40, 1), (40, 2), (40, 3), (40, 4), (40, 5), (25, 0))
+STEP_BITS_STEPS = 1000
 # priors of the oracle capture: the ground truth's two labels, once and twice
 ORACLE_PRIORS = (1, 2)
 POLICIES = (
@@ -279,6 +285,30 @@ def index_check_lines() -> list[str]:
     return lines
 
 
+def step_bits_lines() -> list[str]:
+    """A heading line per chain, then the float.hex of each coherence_bits
+    row."""
+    cohopt = importlib.import_module("cohopt")
+    np = importlib.import_module("numpy")
+    rng = np.random.default_rng(26)
+    dense = cohopt.random_mixture_system(cohopt.generic_partition([3, 3, 3]), 2, rng)
+    table = rng.random(18) * (rng.random(18) > 0.35)
+    table[0] = 1.0  # the chains start at policy 0
+    sparse = cohopt.from_joint_table(
+        cohopt.generic_partition([3, 3, 2]), table / table.sum(), 0.0
+    )
+    lines = []
+    for tag, system in (("dense", dense), ("sparse-joint", sparse)):
+        for beta in EXACT_BETAS:
+            config = cohopt.SamplerConfig(beta=beta, steps=STEP_BITS_STEPS, seed=7)
+            record = cohopt.gibbs_run(
+                system, cohopt.DPolicy((0, 0, 0)), config, check_positivity=False
+            )
+            lines.append(f"{tag} beta={beta!r}")
+            lines += map(float.hex, record.coherence_bits.tolist())
+    return lines
+
+
 def _value(function, *args) -> str:
     """repr of function(*args), a float array as a list; or the exception."""
     try:
@@ -387,6 +417,7 @@ def main() -> None:
     crashed += capture_lines(
         args.out, "api-index-checks", "outcomes.txt", index_check_lines
     )
+    crashed += capture_lines(args.out, "api-step-bits", "bits.txt", step_bits_lines)
     crashed += run_demos(args.out, args.src.resolve())
     if crashed:
         raise SystemExit(f"crashed or exited nonzero: {', '.join(crashed)}")

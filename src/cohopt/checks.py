@@ -55,9 +55,8 @@ class SweepResult:
 def _random_system(
     rng: np.random.Generator, partitions: dict
 ) -> MixtureBayesSystem:
-    """A random positive system. Its partition is built once per size tuple
-    into partitions, which a sweep holds for its own cases only: one held
-    for all 117 tuples raised peak RSS by about 0.2 MB."""
+    """A random positive system, its partition built once per size tuple of
+    one sweep (held across sweeps, all 117 raised peak RSS by 0.2 MB)."""
     n_contexts = int(rng.integers(2, 5))
     sizes = tuple(int(rng.integers(2, 5)) for _ in range(n_contexts))
     if sizes not in partitions:

@@ -636,9 +636,8 @@ def gibbs_run(
     assignment = trajectory[0].copy()
     state = assignment.tolist()
     index = kept.index(state)
-    # each step's coherence, kept by index * k + j after the move (one to
-    # one with rest, j and a) where there are no more keys than steps, so
-    # the list is never longer than coherence_bits
+    # each step's coherence by index * k + j after the move (one to one with
+    # rest, j, a), where no more keys than steps keep it within coherence_bits
     keys = k * math.prod(core.sizes)
     memo = [None] * keys if keys <= config.steps else None
 

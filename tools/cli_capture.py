@@ -290,7 +290,7 @@ def step_bits_lines() -> list[str]:
     row."""
     cohopt = importlib.import_module("cohopt")
     np = importlib.import_module("numpy")
-    rng = np.random.default_rng(26)
+    rng = np.random.default_rng(5)
     dense = cohopt.random_mixture_system(cohopt.generic_partition([3, 3, 3]), 2, rng)
     table = rng.random(18) * (rng.random(18) > 0.35)
     table[0] = 1.0  # the chains start at policy 0

@@ -637,7 +637,8 @@ def gibbs_run(
     state = assignment.tolist()
     index = kept.index(state)
     # each step's coherence by index * k + j after the move (one to one with
-    # rest, j, a), where no more keys than steps keep it within coherence_bits
+    # rest, j, a); kept only where keys <= steps, at about 32 B a visited key
+    # (an 8 B slot and a float object) against 8 B a row of coherence_bits
     keys = k * math.prod(core.sizes)
     memo = [None] * keys if keys <= config.steps else None
 

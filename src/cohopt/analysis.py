@@ -35,6 +35,7 @@ from .systems import (
     _check_index,
     _check_int,
     _check_mixtures,
+    _check_real,
     _draw_mixture,
     _enumerate_masses,
     generic_partition,
@@ -164,24 +165,13 @@ def agreement(
 
 def _log_delta_term(delta: float) -> float:
     """log2(1/delta), the confidence term; delta must lie in (0, 1]."""
-    if not 0.0 < delta <= 1.0:
-        raise ValidationError(f"delta must be in (0, 1], got {delta}")
-    return math.log2(1.0 / delta)
-
-
-def _reject_nan(**values: float) -> None:
-    for name, value in values.items():
-        if math.isnan(value):
-            raise ValidationError(f"{name} must not be NaN")
+    return math.log2(1.0 / _check_real(delta, "delta", "(0, 1]"))
 
 
 def _require_finite(**values: float) -> list[float]:
     """The values as floats, so an int gives its float's bits, after raising
-    ValidationError unless each is finite, compared as _check_int does."""
-    for name, value in values.items():
-        if not -sys.float_info.max <= value <= sys.float_info.max:
-            raise ValidationError(f"{name} must be finite, got {value}")
-    return [float(value) for value in values.values()]
+    ValidationError unless each is a finite number (_check_real)."""
+    return [float(_check_real(value, name, "finite")) for name, value in values.items()]
 
 
 def _gap(chi):
@@ -221,7 +211,9 @@ def uniform_convergence_bound(
     training accuracy| is below this value uniformly over policies with
     probability 1 − delta (corrected sign).
     """
-    chi_bits = float(chi)
+    chi_bits = float(
+        _check_real(chi.bits if isinstance(chi, CoherenceValue) else chi, "chi")
+    )
     N = _check_int(N, "N")
     if not chi_bits <= 1e-9:
         raise ValidationError(f"chi must be <= 0, got {chi_bits}")
@@ -271,7 +263,7 @@ def accuracy_lower_bound(
     """Accuracy floor 1 - sqrt((2G ± 2·log2(1/delta))/N) for the regularized
     selection rule; may be negative (vacuous) and is flagged, not clamped."""
     N = _check_int(N, "N")
-    _reject_nan(G=G)
+    _check_real(G, "G", "[-inf, inf]")
     log_term = _log_delta_term(delta)
     inputs = {
         "G": float(G),
@@ -393,7 +385,7 @@ def regularization_bound_rhs(
     """
     N = _check_int(N, "N")
     alphaQ, H = _require_finite(alphaQ=alphaQ, H=H)
-    _reject_nan(KL=KL)
+    _check_real(KL, "KL", "[-inf, inf]")
     log_term = _log_delta_term(delta)
     if log_term == 0.0:
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
@@ -424,10 +416,7 @@ def conjectured_posttrain_count(
         mean_pretrain_coh=mean_pretrain_coh,
         mean_posttrain_coh=mean_posttrain_coh,
     )
-    if not 0.0 <= pretrain_error < 1.0:
-        raise ValidationError(
-            f"pretrain_error must be in [0, 1), got {pretrain_error}"
-        )
+    _check_real(pretrain_error, "pretrain_error", "[0, 1)")
     pretrain_count = _check_int(pretrain_count, "pretrain_count")
     if mean_posttrain_coh == 0.0:
         raise ValidationError("mean_posttrain_coh must be nonzero")
@@ -451,6 +440,7 @@ def _ternary_bracket(
 ) -> tuple[int, int, int]:
     """Shrink [lo, hi] by ternary steps; returns (argmax, lo, hi) with the
     final scan breaking ties toward the lowest index."""
+    lo, hi = _check_index(lo, "lo"), _check_index(hi, "hi")
     if lo >= hi:
         raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
     remaining = _check_int(iters, "iters")

@@ -22,6 +22,7 @@ from .systems import (
     MixtureBayesSystem,
     PolicyState,
     _check_int,
+    _check_real,
     check_chain_rule,
     generic_partition,
     random_mixture_system,
@@ -50,6 +51,13 @@ class SweepResult:
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
+
+
+def _start(cases: int, seed: int, tolerance: float) -> tuple[int, np.random.Generator]:
+    """A sweep's case count and generator, after checking its three inputs."""
+    cases = _check_int(cases, "cases")
+    _check_real(tolerance, "tolerance", "[0, inf]")
+    return cases, np.random.default_rng(_check_int(seed, "seed", 0))
 
 
 def _random_system(rng: np.random.Generator) -> MixtureBayesSystem:
@@ -97,8 +105,7 @@ def sweep_chain_rule(
     cases: int = 100, seed: int = 0, tolerance: float = 1e-12
 ) -> SweepResult:
     """Two-step conditioning must commute on random (system, state, pair)."""
-    cases = _check_int(cases, "cases")
-    rng = np.random.default_rng(_check_int(seed, "seed", 0))
+    cases, rng = _start(cases, seed, tolerance)
     worst = 0.0
     for _ in range(cases):
         system = _random_system(rng)
@@ -120,8 +127,7 @@ def sweep_order_invariance(
 ) -> SweepResult:
     """Coherence must not depend on the context visiting order, checked
     over ORDER_PERMUTATIONS shuffles per case."""
-    cases = _check_int(cases, "cases")
-    rng = np.random.default_rng(_check_int(seed, "seed", 0))
+    cases, rng = _start(cases, seed, tolerance)
     worst = 0.0
     for _ in range(cases):
         system = _random_system(rng)
@@ -144,8 +150,7 @@ def sweep_change_of_prior(
     cases: int = 100, seed: int = 0, tolerance: float = 1e-10
 ) -> SweepResult:
     """Two-stage conditioning must telescope across an intermediate state."""
-    cases = _check_int(cases, "cases")
-    rng = np.random.default_rng(_check_int(seed, "seed", 0))
+    cases, rng = _start(cases, seed, tolerance)
     worst = 0.0
     for _ in range(cases):
         system = _random_system(rng)
@@ -162,8 +167,7 @@ def sweep_prior_encodes_samples(
     cases: int = 100, seed: int = 0, tolerance: float = 1e-10
 ) -> SweepResult:
     """Full coherence must split into anchored-subset plus base-subset terms."""
-    cases = _check_int(cases, "cases")
-    rng = np.random.default_rng(_check_int(seed, "seed", 0))
+    cases, rng = _start(cases, seed, tolerance)
     worst = 0.0
     for _ in range(cases):
         system = _random_system(rng)

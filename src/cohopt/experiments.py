@@ -45,8 +45,8 @@ from .systems import (
     PolicyState,
     _check_index,
     _check_int,
+    _check_real,
     _tie_search,
-    _ties,
     check_beta,
     enumerate_policy_masses,
     generic_partition,
@@ -126,28 +126,20 @@ class Scenario:
 
 def _draw_truth(masses: np.ndarray, truth_beta: float, u: float) -> int:
     """The index that the uniform u picks from masses tempered by
-    truth_beta: the first whose cumulative tempered mass reaches u.
-
-    Never one of zero tempered mass: u = 0.0 picks the first entry of
-    positive mass, and u past the last cumulative value the last one. At
-    truth_beta = +inf only the ties are summed; the cumulative sum over
-    every entry is flat between them, so the pick is the same.
-    """
-    if math.isinf(truth_beta):
-        return _pick_tie(np.flatnonzero(_ties(masses, float(masses.max()))), u)
+    truth_beta: the first whose cumulative tempered mass reaches u, summed
+    over the entries of positive tempered mass alone. Adding a zero leaves a
+    cumulative sum as it was, so this is the pick over every entry, but
+    never one of zero tempered mass. At truth_beta = +inf each tie has
+    tempered mass exactly 1/ties."""
     tempered = temper(masses, truth_beta)
-    index = int(np.searchsorted(np.cumsum(tempered), u))
-    if u == 0.0 or index == masses.size:
-        positive = np.flatnonzero(tempered)
-        index = int(positive[0] if u == 0.0 else positive[-1])
-    return index
+    positive = np.flatnonzero(tempered)
+    return _pick(positive, np.cumsum(tempered[positive]), u)
 
 
-def _pick_tie(ties: np.ndarray, u: float) -> int:
-    """_draw_truth at truth_beta = +inf, given the ascending indices of the
-    ties: the first whose cumulative share 1/len(ties) reaches u."""
-    cum = np.cumsum(np.full(ties.size, 1.0 / ties.size))
-    return int(ties[min(int(np.searchsorted(cum, u)), ties.size - 1)])
+def _pick(indices: np.ndarray, cumulative: np.ndarray, u: float) -> int:
+    """The entry of indices at the first cumulative value that reaches u:
+    the first entry for u = 0.0, the last for u past every value."""
+    return int(indices[min(int(np.searchsorted(cumulative, u)), indices.size - 1)])
 
 
 def _truth_index(
@@ -170,7 +162,7 @@ def _truth_index(
             DEFAULT_ENUMERATION_CAP,
         )
         if ties is not None:
-            return _pick_tie(ties, rng.random())
+            return _pick(ties, np.cumsum(np.full(ties.size, 1.0 / ties.size)), rng.random())
     return _draw_truth(enumerate_policy_masses(system), truth_beta, rng.random())
 
 
@@ -197,14 +189,10 @@ def generate_scenario(
     context_size = _check_int(context_size, "context_size")
     seed = _check_int(seed, "seed", 0)
     if unsupervised_count is None:
-        if not 0.0 <= unsupervised_fraction <= 1.0:
-            raise ValidationError(
-                f"unsupervised_fraction must be in [0, 1], got {unsupervised_fraction}"
-            )
+        _check_real(unsupervised_fraction, "unsupervised_fraction", "[0, 1]")
         unsupervised_count = int(round(unsupervised_fraction * n_contexts))
     unsupervised_count = _check_int(unsupervised_count, "unsupervised_count", 0, n_contexts)
-    if not 0.0 <= label_noise <= 1.0:
-        raise ValidationError(f"label_noise must be in [0, 1], got {label_noise}")
+    _check_real(label_noise, "label_noise", "[0, 1]")
     check_beta(truth_beta, "truth_beta")
     rng = np.random.default_rng(seed)
     partition = generic_partition([context_size] * n_contexts)

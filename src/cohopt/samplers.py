@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
@@ -31,6 +30,7 @@ from .systems import (
     _check_cap,
     _check_index,
     _check_int,
+    _check_real,
     _tempered_rows,
     _tempered_weights,
     check_beta,
@@ -72,15 +72,11 @@ class SamplerConfig:
     burn_in: int = 0
 
     def __post_init__(self) -> None:
-        check_beta(_check_real(self.beta, "beta"))
+        check_beta(self.beta)
         for name, low in (("steps", 1), ("seed", 0), ("burn_in", 0)):
             object.__setattr__(self, name, _check_int(getattr(self, name), name, low))
-        if not 0.0 < _check_real(self.gamma, "gamma") < 1.0:
-            raise ValidationError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not 0.0 <= _check_real(self.anchor_weight, "anchor_weight") <= 1.0:
-            raise ValidationError(
-                f"anchor_weight must be in [0, 1], got {self.anchor_weight}"
-            )
+        _check_real(self.gamma, "gamma", "(0, 1)")
+        _check_real(self.anchor_weight, "anchor_weight", "[0, 1]")
         for name in ("beta", "gamma", "anchor_weight"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -97,18 +93,6 @@ class SamplerConfig:
             anchor_weight=_read_float(data, "anchor_weight", 0.0),
             burn_in=data.get("burn_in", 0),
         )
-
-
-def _check_real(value, name: str):
-    """value, after raising ValidationError unless it is a real number that
-    float() can convert."""
-    if isinstance(value, numbers.Real):
-        try:
-            float(value)
-            return value
-        except OverflowError:
-            pass
-    raise ValidationError(f"{name} must be a number in the float range, got {value!r}")
 
 
 def _read_float(data: dict, name: str, default: float) -> float:

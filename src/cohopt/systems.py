@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import sys
 from collections.abc import Collection, Iterator, Mapping, Sequence
@@ -584,11 +585,35 @@ def _tempered_rows(p: np.ndarray, beta: float) -> np.ndarray:
 
 
 def check_beta(beta: float, name: str = "beta") -> float:
-    """Return beta if it is a valid inverse temperature: positive, +inf
-    allowed, NaN rejected."""
-    if not beta > 0:
+    """Return beta if it is a valid inverse temperature: a positive number
+    (_check_real), +inf allowed, NaN rejected."""
+    if not _check_real(beta, name) > 0:
         raise ValidationError(f"{name} must be positive, got {beta}")
     return beta
+
+
+def _check_real(value, name: str, interval: str | None = None):
+    """value unchanged, after raising ValidationError unless it is a real
+    number (numpy's included) that float() can convert and, where given,
+    whose float lies in interval: the one test of a real input. interval is
+    written as its message prints it, "(0, 1]" say, or "finite" for
+    (-inf, inf); NaN lies in none, and an int past the floats fails it.
+    float and int are tested first, as the ABC's own test is several times slower."""
+    try:
+        x = float(value) if isinstance(value, (float, int, numbers.Real)) else None
+    except OverflowError:
+        x = None if interval is None else math.nan
+    if x is None:
+        raise ValidationError(f"{name} must be a number in the float range, got {value!r}")
+    if interval is not None:
+        ends = "(-inf, inf)" if interval == "finite" else interval
+        low, high = map(float, ends[1:-1].split(", "))
+        if not (low <= x if ends[0] == "[" else low < x) or not (
+            x <= high if ends[-1] == "]" else x < high
+        ):
+            where = interval if interval == "finite" else f"in {interval}"
+            raise ValidationError(f"{name} must be {where}, got {value}")
+    return value
 
 
 def _check_int(n, name: str, low: int = 1, high: int | None = None) -> int:
@@ -652,8 +677,7 @@ def from_joint_table(
     rows at epsilon = 0). With epsilon = 0 and states holding at most one
     behavior per context, infer() reproduces the joint table's conditionals.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValidationError(f"epsilon must be in [0, 1), got {epsilon}")
+    _check_real(epsilon, "epsilon", "[0, 1)")
     table = np.asarray(joint, dtype=np.float64)
     if table.shape == (partition.policy_count(),):
         table = table.reshape(partition.sizes)
@@ -1140,7 +1164,8 @@ def generic_partition(sizes: Sequence[int]) -> ContextPartition:
     c0_b0, c0_b1, ..."""
     names = [f"c{i}" for i in range(len(sizes))]
     behaviors = [
-        [f"c{i}_b{j}" for j in range(size)] for i, size in enumerate(sizes)
+        [f"c{i}_b{j}" for j in range(_check_index(n, "context size"))]
+        for i, n in enumerate(sizes)
     ]
     return ContextPartition(names, behaviors)
 
@@ -1159,10 +1184,7 @@ def random_mixture_system(
     concentration gives more peaked rows and stronger cross-context coupling.
     """
     n_latents = _check_int(n_latents, "n_latents")
-    if not 0.0 < emission_concentration <= sys.float_info.max:
-        raise ValidationError(
-            f"emission_concentration must be in (0, inf), got {emission_concentration}"
-        )
+    _check_real(emission_concentration, "emission_concentration", "(0, inf)")
     weights, emissions = _draw_mixture(
         partition.sizes, n_latents, rng, emission_concentration
     )

@@ -34,6 +34,11 @@ each passing a non-integer (or unreachable) context, behavior, position or
 policy index to a public function: `label -> ok <repr>` with the value it
 returned, or `label -> <type>: <message>` with the exception it raised.
 
+`api-contract/outcomes.txt` holds, in the same form, one line per call of
+CONTRACT_PROBES, each passing a non-number (or NaN) real or a non-integer
+size or bracket to a public function. The last, a string of latent weights
+to MixtureBayesSystem, still escapes with numpy's ValueError.
+
 `api-step-bits/bits.txt` holds the float.hex of every coherence_bits row
 of a STEP_BITS_STEPS-step gibbs_run at each beta of EXACT_BETAS, on a dense
 3x3x3 two-latent mixture and on a joint table at epsilon 0 with zero cells,
@@ -124,6 +129,37 @@ INDEX_PROBES = (
     "state_of_policy(p, DPolicy((0,)))",
     "Scenario(s, DPolicy((0, 1, 2)), (0.0,), (1.0, 2.0), 0).supervised",
     "Scenario(s, DPolicy((0, 1, 2)), (0.0,), (1.0, 2.0), 0).prior_state",
+)
+
+# evaluated as INDEX_PROBES are
+CONTRACT_PROBES = (
+    'temper(np.array([0.2, 0.8]), "1")',
+    'tempered_infer(s, zero, 0, "x")',
+    'softmax_over_coherence(s, "x").masses',
+    'gibbs_step_probability(s, DPolicy((0, 0, 0)), DPolicy((0, 0, 1)), "x")',
+    'exact_conditional_distribution(s, "x").masses',
+    'bootstrap_exact_distribution(s, [0, 1, 2], "x").masses',
+    'SamplerConfig(gamma="0.5")',
+    'from_joint_table(p, np.full(27, 1 / 27), "a")',
+    'random_mixture_system(p, 2, np.random.default_rng(0), "a")',
+    'generate_scenario(4, 3, 2, label_noise="a")',
+    'generate_scenario(4, 3, 2, unsupervised_fraction="a")',
+    'generate_scenario(4, 3, 2, emission_concentration="a")',
+    'generate_scenario(4, 3, 2, truth_beta="a")',
+    'uniform_convergence_bound("x", 10, 0.1)',
+    'uniform_convergence_bound("-1", 10, 0.1)',
+    'uniform_convergence_bound(-1.0, 10, "x")',
+    'srm_select(s, zero, None, [], delta="x")',
+    'equivalence_study([1], [0], n_contexts=3, delta="x")',
+    'accuracy_lower_bound("x", 10, 0.1)',
+    'accuracy_lower_bound(float("nan"), 10, 0.1)',
+    'conjectured_posttrain_count(1.0, -1.0, "x", 10)',
+    'regularization_bound_rhs(0.5, "x", 0.1, 10, 0.1)',
+    'regularization_bound_rhs(0.5, 1.0, float("nan"), 10, 0.1)',
+    'sweep_chain_rule(2, 0, "x").passed',
+    "generic_partition([2.5])",
+    'ternary_search_sample_count(lambda n: -n, "1", 10)',
+    'MixtureBayesSystem(p, "ab", [np.full((2, 3), 1 / 3)] * 3)',
 )
 
 
@@ -268,13 +304,14 @@ def oracle_lines() -> list[str]:
     return lines
 
 
-def index_check_lines() -> list[str]:
-    """`label -> ok <repr>` or `label -> <type>: <message>` per probe."""
+def probe_lines(probes: tuple[str, ...]) -> list[str]:
+    """`label -> ok <repr>` or `label -> <type>: <message>` per probe, each
+    evaluated against INDEX_SETUP's names."""
     cohopt = importlib.import_module("cohopt")
     names = {"np": importlib.import_module("numpy"), **vars(cohopt)}
     exec(INDEX_SETUP, names)
     lines = []
-    for label in INDEX_PROBES:
+    for label in probes:
         try:
             value = eval(label, names)
         except Exception as exc:
@@ -415,7 +452,10 @@ def main() -> None:
     crashed += capture_lines(args.out, "api-exact-masses", "masses.txt", exact_mass_lines)
     crashed += capture_lines(args.out, "api-oracle", "values.txt", oracle_lines)
     crashed += capture_lines(
-        args.out, "api-index-checks", "outcomes.txt", index_check_lines
+        args.out, "api-index-checks", "outcomes.txt", lambda: probe_lines(INDEX_PROBES)
+    )
+    crashed += capture_lines(
+        args.out, "api-contract", "outcomes.txt", lambda: probe_lines(CONTRACT_PROBES)
     )
     crashed += capture_lines(args.out, "api-step-bits", "bits.txt", step_bits_lines)
     crashed += run_demos(args.out, args.src.resolve())

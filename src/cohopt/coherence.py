@@ -20,10 +20,13 @@ import numpy as np
 from .errors import DegenerateConditioningError, ValidationError
 from .systems import (
     DEFAULT_ENUMERATION_CAP,
+    JOINT_SUM_ATOL,
     Conditioned,
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    _check_masses,
+    _check_reals,
     check_beta,
     infer,
     state_of_policy,
@@ -112,17 +115,11 @@ class PolicyDistribution:
     sizes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        masses = np.asarray(self.masses, dtype=np.float64)
+        masses = _check_reals(self.masses, "masses")
         object.__setattr__(self, "masses", masses)
         if masses.ndim != 1 or masses.size == 0:
             raise ValidationError("masses must be a non-empty vector")
-        if not np.all(np.isfinite(masses) & (masses >= 0)):
-            raise ValidationError("masses must be finite and non-negative")
-        total = float(masses.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(
-                f"masses sum to {total!r}, expected 1 ± 1e-9"
-            )
+        _check_masses(masses, "masses", JOINT_SUM_ATOL)
         if self.sizes is not None and math.prod(self.sizes) != masses.size:
             raise ValidationError(
                 f"sizes {self.sizes} enumerate {math.prod(self.sizes)} "

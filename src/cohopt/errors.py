@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
 One class per failure, and each class carries the CLI exit code it maps to:
-ValidationError -> 2, DegenerateConditioningError -> 3 (an impossible prior
-state and a conditional table with no positive mass alike),
-EnumerationCapError -> 4.
+ValidationError -> 2 (a ValueError too), DegenerateConditioningError -> 3
+(an impossible prior state and a conditional table with no positive mass
+alike), EnumerationCapError -> 4.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ class CohoptError(Exception):
     exit_code = 1
 
 
-class ValidationError(CohoptError):
-    """Malformed inputs: bad shapes, bad probabilities, bad config keys."""
+class ValidationError(CohoptError, ValueError):
+    """Malformed inputs: bad shapes, masses or keys; non-numbers, "0.5" included."""
 
     exit_code = 2
 

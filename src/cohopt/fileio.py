@@ -27,6 +27,7 @@ from .systems import (
     ContextPartition,
     DPolicy,
     MixtureBayesSystem,
+    _check_reals,
     from_joint_table,
 )
 
@@ -193,28 +194,23 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         emissions_data = _require(sys_data, "emissions", "system")
         if not isinstance(weights, list):
             raise ValidationError("system.latent_weights: must be a list")
+        weights = _check_reals(weights, "system.latent_weights")
         if not isinstance(emissions_data, list) or len(emissions_data) != len(weights):
             raise ValidationError(
                 "system.emissions: need one emission block per latent"
             )
         emissions = []
         for c in range(partition.n_contexts):
+            key = f"system.emissions[*][{c}]"
             try:
-                rows = np.array(
-                    [np.asarray(block[c], dtype=np.float64)
-                     for block in emissions_data]
-                )
-            except (ValueError, IndexError, KeyError, TypeError) as exc:
-                raise ValidationError(
-                    f"system.emissions[*][{c}]: malformed rows ({exc})"
-                ) from exc
-            emissions.append(rows)
+                rows = [block[c] for block in emissions_data]
+            except (IndexError, KeyError, TypeError) as exc:
+                raise ValidationError(f"{key}: malformed rows ({exc})") from exc
+            emissions.append(_check_reals(rows, key))
         try:
             system = MixtureBayesSystem(partition, weights, emissions)
         except ValidationError as exc:
             raise ValidationError(f"system: {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"system.latent_weights: {exc}") from exc
     elif kind == "joint_table":
         table = _require(sys_data, "table", "system")
         epsilon = sys_data.get("epsilon", 0.0)
@@ -223,10 +219,8 @@ def load_scenario(path: str | Path) -> ScenarioFile:
                 f"system.epsilon: must be a number, got {epsilon!r}"
             )
         try:
-            system = from_joint_table(
-                partition, np.asarray(table, dtype=np.float64), epsilon
-            )
-        except (ValidationError, ValueError, TypeError) as exc:
+            system = from_joint_table(partition, table, epsilon)
+        except ValidationError as exc:
             raise ValidationError(f"system.table: {exc}") from exc
     else:
         raise ValidationError(

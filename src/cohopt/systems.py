@@ -31,6 +31,7 @@ from .errors import (
 PROB_ATOL = 1e-12
 LN2 = math.log(2.0)
 JOINT_SUM_ATOL = 1e-9
+_FLOAT64 = np.dtype(np.float64)
 DEFAULT_ENUMERATION_CAP = 1_000_000
 # entries in the widest level of one block of latents (_enumerate_masses)
 _BLOCK_ENTRIES = 1 << 16
@@ -366,17 +367,10 @@ class MixtureBayesSystem:
         emissions: Sequence[np.ndarray],
     ) -> None:
         self.partition = partition
-        weights = np.array(latent_weights, dtype=np.float64, copy=True)
+        weights = _check_reals(latent_weights, "latent_weights").copy()
         if weights.ndim != 1 or weights.size == 0:
             raise ValidationError("latent_weights must be a non-empty vector")
-        # NaN fails both compares
-        lowest = float(np.minimum.reduce(weights))
-        if not (lowest >= 0.0 and np.maximum.reduce(weights) < math.inf):
-            raise ValidationError("latent_weights must be finite and non-negative")
-        if abs(float(np.add.reduce(weights)) - 1.0) > PROB_ATOL:
-            raise ValidationError(
-                f"latent_weights sum to {weights.sum()!r}, expected 1 ± {PROB_ATOL}"
-            )
+        lowest, _ = _check_masses(weights, "latent_weights", PROB_ATOL)
         if len(emissions) != partition.n_contexts:
             raise ValidationError(
                 f"got {len(emissions)} emission tables for "
@@ -394,18 +388,17 @@ class MixtureBayesSystem:
             block = np.empty((len(run), weights.size, size))
             for i, c in enumerate(run):
                 # the contexts before c come first: every earlier run, and
-                # for a wrong shape the contexts of its run before it too
+                # the contexts of its run before it
                 try:
-                    arr = np.asarray(emissions[c], dtype=np.float64)
+                    arr = _check_reals(emissions[c], "emissions", c)
+                    if arr.shape != (weights.size, size):
+                        raise ValidationError(
+                            f"emissions[{c}] has shape {arr.shape}, expected "
+                            f"{(weights.size, size)}"
+                        )
                 except Exception:
-                    _check_emission_blocks(blocks)
+                    _check_emission_rows([*blocks, (run[0], block[:i])])
                     raise
-                if arr.shape != (weights.size, size):
-                    _check_emission_blocks([*blocks, (run[0], block[:i])])
-                    raise ValidationError(
-                        f"emissions[{c}] has shape {arr.shape}, expected "
-                        f"{(weights.size, size)}"
-                    )
                 block[i] = arr
             # systems are shared across concurrent evaluators; freeze the
             # arrays (views of a frozen block are frozen)
@@ -434,7 +427,7 @@ class MixtureBayesSystem:
             sums = np.concatenate([block.sum(axis=-1) for _, block in blocks], axis=None)
             valid = np.maximum.reduce(np.abs(sums - 1.0)) <= PROB_ATOL
         if not valid:
-            _check_emission_blocks(blocks)
+            _check_emission_rows(blocks)
         # np.errstate costs about as much as both logs: it silences the
         # divide flag only where some weight or emission is zero
         with np.errstate(divide="ignore") if lowest == 0.0 else nullcontext():
@@ -473,33 +466,27 @@ class MixtureBayesSystem:
         )
 
 
-def _check_emission_blocks(blocks: Sequence[tuple[int, np.ndarray]]) -> None:
-    """_check_emission_rows of each (first context, block) in order."""
+def _check_emission_rows(blocks: Sequence[tuple[int, np.ndarray]]) -> None:
+    """Raise ValidationError for the first context, over (first context,
+    (contexts, latents, behaviors) block) pairs in order, with a negative or
+    non-finite entry or a row not summing to 1, naming entries before rows."""
     for first, block in blocks:
-        _check_emission_rows(block, first)
-
-
-def _check_emission_rows(block: np.ndarray, first: int) -> None:
-    """Raise ValidationError for the first context of a (contexts, latents,
-    behaviors) block, the first being context ``first``, that has a
-    negative or non-finite entry or a row not summing to 1, naming its
-    entries before its rows."""
-    valid = np.isfinite(block) & (block >= 0)
-    sums = block.sum(axis=-1)
-    off = np.abs(sums - 1.0) > PROB_ATOL
-    if valid.all() and not off.any():
-        return
-    entries = ~valid.all(axis=(1, 2))
-    c = int(np.flatnonzero(entries | off.any(axis=1))[0])
-    if entries[c]:
+        valid = np.isfinite(block) & (block >= 0)
+        sums = block.sum(axis=-1)
+        off = np.abs(sums - 1.0) > PROB_ATOL
+        if valid.all() and not off.any():
+            continue
+        entries = ~valid.all(axis=(1, 2))
+        c = int(np.flatnonzero(entries | off.any(axis=1))[0])
+        if entries[c]:
+            raise ValidationError(
+                f"emissions[{first + c}] has negative or non-finite entries"
+            )
+        row = int(np.flatnonzero(off[c])[0])
         raise ValidationError(
-            f"emissions[{first + c}] has negative or non-finite entries"
+            f"emissions[{first + c}] row {row} sums to {sums[c, row]!r}, "
+            f"expected 1 ± {PROB_ATOL}"
         )
-    row = int(np.flatnonzero(off[c])[0])
-    raise ValidationError(
-        f"emissions[{first + c}] row {row} sums to {sums[c, row]!r}, "
-        f"expected 1 ± {PROB_ATOL}"
-    )
 
 
 def infer(
@@ -633,19 +620,50 @@ def _check_int(n, name: str, low: int = 1, high: int | None = None) -> int:
     return n
 
 
+def _check_reals(values, name: str, *index: int) -> np.ndarray:
+    """values as a float64 array (a float64 ndarray as is, tested first), after
+    raising ValidationError unless each entry is a real number as _check_real
+    has it: no string, complex, None or ragged nesting. Named name[*index]."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT64:
+        return values
+    name += str(list(index)) if index else ""
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ValidationError(f"{name} cannot be read as an array ({exc})") from None
+    if a.dtype.kind not in "biuf":  # each entry as given, not as a string
+        for at, x in np.ndenumerate(np.asarray(values, dtype=object)):
+            _check_real(x, f"{name}{list(at)}" if at else name)
+    return a.astype(np.float64, copy=False)
+
+
+def _check_masses(a: np.ndarray, name: str, atol: float | None = None):
+    """(smallest, largest) entry of a non-empty float64 array, after raising
+    ValidationError unless each is finite and non-negative and, with atol,
+    every vector along the last axis sums to 1 within atol (the worst named)."""
+    lowest = float(np.minimum.reduce(a, axis=None))
+    top = float(np.maximum.reduce(a, axis=None))
+    if not (lowest >= 0.0 and top < math.inf):
+        raise ValidationError(f"{name} must be finite and non-negative")
+    if atol is not None:
+        sums = np.add.reduce(a, axis=-1)
+        total = float(sums if a.ndim == 1 else sums.flat[np.argmax(np.abs(sums - 1.0))])
+        if abs(total - 1.0) > atol:
+            raise ValidationError(f"{name} sum to {total!r}, expected 1 ± {atol}")
+    return lowest, top
+
+
 def temper(probabilities: np.ndarray, beta: float) -> np.ndarray:
     """Apply p -> p^beta to every mass and re-normalize.
 
     beta may be +inf: uniform over the entries within 1e-12 bits of the
-    maximum. Raises ValidationError for a negative, NaN or infinite mass.
+    maximum. A mass that is not a finite non-negative number is a ValidationError.
     """
     check_beta(beta)
-    p = np.asarray(probabilities, dtype=np.float64)
+    p = _check_reals(probabilities, "masses")
     if p.size == 0:
         raise ValidationError("no masses to temper")
-    top = float(p.max())
-    if not (float(p.min()) >= 0.0 and top < math.inf):
-        raise ValidationError("masses to temper must be finite and non-negative")
+    _, top = _check_masses(p, "masses to temper")
     if top <= 0.0:
         raise DegenerateConditioningError(
             "degenerate conditioning: all masses zero after tempering"
@@ -678,21 +696,13 @@ def from_joint_table(
     behavior per context, infer() reproduces the joint table's conditionals.
     """
     _check_real(epsilon, "epsilon", "[0, 1)")
-    table = np.asarray(joint, dtype=np.float64)
-    if table.shape == (partition.policy_count(),):
-        table = table.reshape(partition.sizes)
-    if table.shape != partition.sizes:
+    table = _check_reals(joint, "joint table")
+    if table.shape not in (partition.sizes, (partition.policy_count(),)):
         raise ValidationError(
             f"joint table has shape {table.shape}, expected {partition.sizes}"
         )
-    if not np.all(np.isfinite(table) & (table >= 0)):
-        raise ValidationError("joint table has negative or non-finite entries")
-    total = float(table.sum())
-    if abs(total - 1.0) > JOINT_SUM_ATOL:
-        raise ValidationError(
-            f"joint table sums to {total!r}, expected 1 ± {JOINT_SUM_ATOL}"
-        )
     weights = table.reshape(-1)
+    _check_masses(weights, "joint table entries", JOINT_SUM_ATOL)
     n_latents = weights.size
     # coordinate of each latent (= each d-policy) in every context
     coords = np.unravel_index(np.arange(n_latents), partition.sizes)
@@ -1034,7 +1044,10 @@ class Conditioned:
     def _check(self, assignment: Sequence[int]) -> None:
         """Raise ValidationError unless assignment holds one integer behavior
         per position, each in range; negatives fail the unsigned compare."""
-        values = np.asarray(assignment)
+        try:
+            values = np.asarray(assignment)
+        except ValueError:  # ragged: a 0-d array fails the shape test
+            values = np.empty(())
         if values.shape != self._index.shape or (
             values.size
             and (
@@ -1222,12 +1235,8 @@ def _check_mixtures(
     context. Where one fails, the first failing system's own constructor
     raises its ValidationError."""
     try:
-        if not np.all(np.isfinite(weights) & (weights >= 0)) or np.any(
-            np.abs(weights.sum(axis=-1) - 1.0) > PROB_ATOL
-        ):
-            raise ValidationError("latent weights")
-        for table in emissions:
-            _check_emission_rows(table, 0)
+        _check_masses(weights, "latent weights", PROB_ATOL)
+        _check_emission_rows([(0, table) for table in emissions])
     except ValidationError:
         for s, row in enumerate(weights):
             MixtureBayesSystem(partition, row, [table[s] for table in emissions])

@@ -35,9 +35,9 @@ policy index to a public function: `label -> ok <repr>` with the value it
 returned, or `label -> <type>: <message>` with the exception it raised.
 
 `api-contract/outcomes.txt` holds, in the same form, one line per call of
-CONTRACT_PROBES, each passing a non-number (or NaN) real or a non-integer
-size or bracket to a public function. The last, a string of latent weights
-to MixtureBayesSystem, still escapes with numpy's ValueError.
+CONTRACT_PROBES, each passing a non-number (or NaN) real, a non-integer
+size or bracket, an array with a string, numeric string, complex or None
+entry, a ragged array, or a ragged policy assignment to a public function.
 
 `api-step-bits/bits.txt` holds the float.hex of every coherence_bits row
 of a STEP_BITS_STEPS-step gibbs_run at each beta of EXACT_BETAS, on a dense
@@ -160,6 +160,20 @@ CONTRACT_PROBES = (
     "generic_partition([2.5])",
     'ternary_search_sample_count(lambda n: -n, "1", 10)',
     'MixtureBayesSystem(p, "ab", [np.full((2, 3), 1 / 3)] * 3)',
+    'temper("x", 1.0)',
+    'temper(np.array(["0.5", "0.5"]), 1.0)',
+    "temper(np.array([0.5 + 0j, 0.5 + 0j]), 1.0)",
+    "temper([[0.5], [0.25, 0.25]], 1.0)",
+    'PolicyDistribution([0.5, "a"]).masses',
+    "PolicyDistribution([0.5, None]).masses",
+    'from_joint_table(p, "x")',
+    "from_joint_table(p, np.full(27, 1 / 27) + 0j)",
+    "MixtureBayesSystem(p, [0.5, 0.5j], [np.full((2, 3), 1 / 3)] * 3)",
+    'MixtureBayesSystem(p, [0.5, 0.5], [[["0.5", 0.25, 0.25]] * 2] * 3)',
+    "coherence(s, zero, DPolicy(((0, 1), 0, 0)))",
+    "gibbs_run(s, DPolicy(((0, 1), 0, 0)), SamplerConfig(steps=2))",
+    "mutual_predictability(s, DPolicy(((0, 1), 0, 0)))",
+    "srm_select(s, zero, [DPolicy(((0, 1), 0, 0))], [])",
 )
 
 

@@ -311,7 +311,7 @@ def write_distribution_csv(
             f"{distribution.masses.size} policies"
         )
     with np.errstate(divide="ignore"):
-        chis = np.log2(masses)
+        chis = np.log2(_check_reals(masses, "masses"))
     labels = ["|".join(n) for n in itertools.product(*partition.behaviors)]
     _check_distinct(labels, "policies")
     rows = sorted(

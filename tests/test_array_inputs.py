@@ -30,8 +30,10 @@ from cohopt import (
     gibbs_run,
     mutual_predictability,
     random_mixture_system,
+    softmax_over_coherence,
     srm_select,
     temper,
+    write_distribution_csv,
 )
 from cohopt.cli import main
 
@@ -173,6 +175,17 @@ def test_a_float64_weight_vector_is_copied_not_frozen():
     system = MixtureBayesSystem(PAIR, weights, [np.array(ROWS)])
     assert weights.flags.writeable
     assert system.latent_weights is not weights
+
+
+@pytest.mark.parametrize("masses", [np.array(["a"] * 4), np.full(4, 0.25 + 0j)])
+def test_a_mass_table_to_write_that_is_not_numbers_exits_2(tmp_path, masses):
+    system = random_mixture_system(generic_partition([2, 2]), 2, np.random.default_rng(0))
+    distribution = softmax_over_coherence(system, 1.0)
+    path = tmp_path / "xbeta.csv"
+    _raises_exit_2(
+        lambda m: write_distribution_csv(path, system.partition, distribution, m), masses
+    )
+    assert not path.exists()
 
 
 def _scenario(system: dict) -> dict:

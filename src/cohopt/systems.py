@@ -1007,11 +1007,12 @@ class Conditioned:
         their start and draw in range, call it directly. Out of range, a
         behavior reads another context's row instead of raising.
 
-        One gather of stacked rows, folded by add.accumulate (np.cumsum): a
-        sequential left fold, so the sums round as a loop of adds does. A
-        skipped position reads the zero row, and x + 0.0 == x, -inf
-        included. A plain sum would not do: over one latent numpy sums
-        pairwise, and subtracting a row breaks on -inf."""
+        One gather of stacked rows, then a left fold down the stack: from
+        two latents on add.reduce, which adds whole rows in turn over the
+        slow axis (numpy sums pairwise only along the fast axis, the one
+        real axis at one latent, where add.accumulate's last row is kept).
+        A skipped position reads the zero row, and x + 0.0 == x, -inf
+        included; subtracting a row would break on -inf."""
         index = self._index
         # casting: an empty assignment tuple reads as float64
         np.add(self._offsets, assignment, out=index, casting="unsafe")
@@ -1019,7 +1020,9 @@ class Conditioned:
             index[j] = -1
         # mode="wrap" writes straight into the buffer; -1 is the zero row
         self._rows.take(index, axis=0, out=self._stack[1:], mode="wrap")
-        return np.add.accumulate(self._stack, axis=0)[-1]
+        if self.base.size == 1:
+            return np.add.accumulate(self._stack, axis=0)[-1]
+        return np.add.reduce(self._stack, 0)
 
     def numerator_table(self, skip: Collection[int] = ()) -> np.ndarray:
         """numerators() of every assignment of the positions not in skip,

@@ -702,7 +702,7 @@ def from_joint_table(
             f"joint table has shape {table.shape}, expected {partition.sizes}"
         )
     weights = table.reshape(-1)
-    _check_masses(weights, "joint table entries", JOINT_SUM_ATOL)
+    _check_masses(weights, "joint table entries", PROB_ATOL)
     n_latents = weights.size
     # coordinate of each latent (= each d-policy) in every context
     coords = np.unravel_index(np.arange(n_latents), partition.sizes)

@@ -44,6 +44,14 @@ of a STEP_BITS_STEPS-step gibbs_run at each beta of EXACT_BETAS, on a dense
 3x3x3 two-latent mixture and on a joint table at epsilon 0 with zero cells,
 so a drift of one ulp in a chain's per-step coherence shows.
 
+`api-wide-bits/bits.txt` holds, in the same form, the float.hex of every
+coherence_bits row of three chains on 40 contexts of 4 behaviors, whose
+every step misses and folds one state's log numerators in
+Conditioned.numerators (the api-step-bits chains read batched tables
+instead): a WIDE_STEPS-step gibbs_run and a WIDE_ROUNDS-round
+training_friendly_gibbs_run over 32 latents, and a WIDE_STEPS-step
+gibbs_run over one latent, so a drift of one ulp in that fold shows.
+
 `api-surface/names.txt` holds one line per public attribute of the
 cohopt package: its name, then its `__module__`, or its type name where it
 has none (a submodule or a constant).
@@ -80,6 +88,8 @@ SCENARIOS = {
 EXACT_BETAS = (0.5, 1.0, 2.0, math.inf)
 SWEEP_RUNS = ((40, 0), (40, 1), (40, 2), (40, 3), (40, 4), (40, 5), (25, 0))
 STEP_BITS_STEPS = 1000
+WIDE_STEPS = 300
+WIDE_ROUNDS = 100
 # priors of the oracle capture: the ground truth's two labels, once and twice
 ORACLE_PRIORS = (1, 2)
 POLICIES = (
@@ -360,6 +370,30 @@ def step_bits_lines() -> list[str]:
     return lines
 
 
+def wide_bits_lines() -> list[str]:
+    """A heading line per wide chain, then the float.hex of each
+    coherence_bits row."""
+    cohopt = importlib.import_module("cohopt")
+    np = importlib.import_module("numpy")
+    rng = np.random.default_rng(9)
+    partition = cohopt.generic_partition([4] * 40)
+    wide = cohopt.random_mixture_system(partition, 32, rng)
+    single = cohopt.random_mixture_system(partition, 1, rng)
+    start = partition.policy_at(0)
+    chains = (
+        ("gibbs latents=32", cohopt.gibbs_run, wide, WIDE_STEPS, 0.0),
+        ("tf-gibbs latents=32", cohopt.training_friendly_gibbs_run, wide, WIDE_ROUNDS, 0.5),
+        ("gibbs latents=1", cohopt.gibbs_run, single, WIDE_STEPS, 0.0),
+    )
+    lines = []
+    for tag, run, system, steps, anchor in chains:
+        config = cohopt.SamplerConfig(steps=steps, seed=3, anchor_weight=anchor)
+        record = run(system, start, config, check_positivity=False)
+        lines.append(tag)
+        lines += map(float.hex, record.coherence_bits.tolist())
+    return lines
+
+
 def _value(function, *args) -> str:
     """repr of function(*args), a float array as a list; or the exception."""
     try:
@@ -472,6 +506,7 @@ def main() -> None:
         args.out, "api-contract", "outcomes.txt", lambda: probe_lines(CONTRACT_PROBES)
     )
     crashed += capture_lines(args.out, "api-step-bits", "bits.txt", step_bits_lines)
+    crashed += capture_lines(args.out, "api-wide-bits", "bits.txt", wide_bits_lines)
     crashed += run_demos(args.out, args.src.resolve())
     if crashed:
         raise SystemExit(f"crashed or exited nonzero: {', '.join(crashed)}")

@@ -78,9 +78,12 @@ __all__ = [
 class BoundReport:
     """A bound value plus the echoed inputs that determine it.
 
-    valid is True only when the radicand was non-negative and the value lies
-    in the meaningful [0, 1] range (for accuracy-flavored bounds); note
-    explains why when it is False.
+    The square-root bounds are valid exactly when note is empty; else it
+    names a negative radicand (value NaN), an infinite optimality gap or a
+    vacuous value outside [0, 1]. The CLI's regularization-rhs report is
+    valid inside [0, 1] and still notes that its asymptotic form drops a
+    remainder; its posttrain-count report is valid when finite and always
+    notes that it is a conjecture.
     """
 
     kind: str
@@ -152,6 +155,8 @@ def agreement(
     positions = [_check_index(c, "context index") for c in subset]
     if not positions:
         raise ValidationError("agreement needs a non-empty context subset")
+    if len(set(positions)) != len(positions):
+        raise ValidationError("context subset has repeated indices")
     if len(policy1) != len(policy2):
         raise ValidationError("policies cover different numbers of contexts")
     for c in positions:
@@ -199,6 +204,24 @@ def _signed(log_term: float, sign_convention: str) -> float:
     )
 
 
+def _root_report(kind: str, radicand: float, floor: bool, inputs: dict) -> BoundReport:
+    """The report of the bound sqrt(radicand), or 1 - sqrt(radicand) for a
+    floor, the one rule of both square-root bounds.
+
+    A negative radicand gives NaN. The bound is vacuous where the root
+    passes 1, a NaN root (from inf - inf) included: the bound then exceeds
+    1, or the floor falls below 0. Otherwise it is valid, inside [0, 1].
+    """
+    if radicand < 0.0:
+        value, note = math.nan, f"negative radicand {radicand!r}"
+    else:
+        root = math.sqrt(radicand)
+        value = 1.0 - root if floor else root
+        vacuous = "below 0" if floor else "exceeds 1"
+        note = "" if root <= 1.0 else f"vacuous: bound {vacuous}"
+    return BoundReport(kind, value, not note, note, inputs)
+
+
 def uniform_convergence_bound(
     chi: float | CoherenceValue,
     N: int,
@@ -217,28 +240,15 @@ def uniform_convergence_bound(
     N = _check_int(N, "N")
     if not chi_bits <= 1e-9:
         raise ValidationError(f"chi must be <= 0, got {chi_bits}")
-    log_term = _log_delta_term(delta)
+    log_term = _signed(_log_delta_term(delta), sign_convention)
     inputs = {
         "chi": chi_bits,
         "N": N,
         "delta": float(delta),
         "sign_convention": sign_convention,
     }
-    radicand = _regularizer_radicand(
-        _gap(chi_bits), _signed(log_term, sign_convention), N
-    )
-    if radicand < 0.0:
-        value, note = math.nan, f"negative radicand {radicand!r}"
-    else:
-        value = math.sqrt(radicand)
-        note = "" if value <= 1.0 else "vacuous: bound exceeds 1"
-    return BoundReport(
-        kind="uniform-convergence",
-        value=value,
-        valid=not note,
-        note=note,
-        inputs=inputs,
-    )
+    radicand = _regularizer_radicand(_gap(chi_bits), log_term, N)
+    return _root_report("uniform-convergence", radicand, False, inputs)
 
 
 def optimality_gap(
@@ -264,7 +274,7 @@ def accuracy_lower_bound(
     selection rule; may be negative (vacuous) and is flagged, not clamped."""
     N = _check_int(N, "N")
     _check_real(G, "G", "[-inf, inf]")
-    log_term = _log_delta_term(delta)
+    log_term = _signed(_log_delta_term(delta), sign_convention)
     inputs = {
         "G": float(G),
         "N": N,
@@ -272,21 +282,10 @@ def accuracy_lower_bound(
         "sign_convention": sign_convention,
     }
     if math.isinf(G):
-        value, note = -math.inf, "optimality gap is infinite"
-    else:
-        radicand = _floor_radicand(G, _signed(log_term, sign_convention), N)
-        if radicand < 0.0:
-            value, note = math.nan, f"negative radicand {radicand!r}"
-        else:
-            value = 1.0 - math.sqrt(radicand)
-            note = "" if 0.0 <= value <= 1.0 else "vacuous: bound below 0"
-    return BoundReport(
-        kind="accuracy-lower-bound",
-        value=value,
-        valid=not note,
-        note=note,
-        inputs=inputs,
-    )
+        note = "optimality gap is infinite"
+        return BoundReport("accuracy-lower-bound", -math.inf, False, note, inputs)
+    radicand = _floor_radicand(G, log_term, N)
+    return _root_report("accuracy-lower-bound", radicand, True, inputs)
 
 
 def srm_select(

@@ -318,48 +318,29 @@ def cmd_bounds(
             need(gap, "gap"), need(n, "n"), need(delta, "delta"), sign
         )
     elif bound_kind == "regularization":
-        value = regularization_bound_rhs(
-            need(alpha, "alpha"),
-            need(entropy, "entropy"),
-            need(kl, "kl"),
-            need(n, "n"),
-            need(delta, "delta"),
-        )
+        inputs = {
+            "alpha": need(alpha, "alpha"),
+            "entropy": need(entropy, "entropy"),
+            "kl": need(kl, "kl"),
+            "N": need(n, "n"),
+            "delta": need(delta, "delta"),
+        }
+        value = regularization_bound_rhs(*inputs.values())
         valid = 0.0 <= value <= 1.0  # the accuracy floor's range
-        report = BoundReport(
-            kind="regularization-rhs",
-            value=value,
-            valid=valid,
-            note="asymptotic form: vanishing remainder dropped"
-            if valid
-            else "vacuous: bound outside [0, 1]",
-            inputs={
-                "alpha": alpha,
-                "entropy": entropy,
-                "kl": kl,
-                "N": n,
-                "delta": delta,
-            },
-        )
+        note = "asymptotic form: vanishing remainder dropped"
+        if not valid:
+            note = "vacuous: bound outside [0, 1]"
+        report = BoundReport("regularization-rhs", value, valid, note, inputs)
     else:
-        value = conjectured_posttrain_count(
-            need(mean_pretrain_coh, "mean-pretrain-coh"),
-            need(mean_posttrain_coh, "mean-posttrain-coh"),
-            need(pretrain_error, "pretrain-error"),
-            need(pretrain_count, "pretrain-count"),
-        )
-        report = BoundReport(
-            kind="posttrain-count",
-            value=value,
-            valid=math.isfinite(value),
-            note="conjectural recommendation, not a guarantee",
-            inputs={
-                "mean_pretrain_coh": mean_pretrain_coh,
-                "mean_posttrain_coh": mean_posttrain_coh,
-                "pretrain_error": pretrain_error,
-                "pretrain_count": pretrain_count,
-            },
-        )
+        inputs = {
+            "mean_pretrain_coh": need(mean_pretrain_coh, "mean-pretrain-coh"),
+            "mean_posttrain_coh": need(mean_posttrain_coh, "mean-posttrain-coh"),
+            "pretrain_error": need(pretrain_error, "pretrain-error"),
+            "pretrain_count": need(pretrain_count, "pretrain-count"),
+        }
+        value = conjectured_posttrain_count(*inputs.values())
+        note = "conjectural recommendation, not a guarantee"
+        report = BoundReport("posttrain-count", value, math.isfinite(value), note, inputs)
     out_path = _out_dir(out)
     write_json(out_path / "bound.json", dataclasses.asdict(report))
     write_json(out_path / "config.json", {"command": "bounds", "report_inputs": report.inputs, "bound": bound_kind, "sign": sign})

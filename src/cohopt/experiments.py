@@ -87,9 +87,10 @@ class Scenario:
         overlap = set(self.supervised) & set(self.unsupervised)
         if overlap:
             raise ValidationError(f"split overlaps on contexts {sorted(overlap)}")
-        covered = set(self.supervised) | set(self.unsupervised)
-        if covered != set(range(self.system.partition.n_contexts)):
+        covered = sorted(self.supervised + self.unsupervised)
+        if covered != list(range(self.system.partition.n_contexts)):
             raise ValidationError("split must cover every context exactly once")
+        self.system.partition.policy_index(self.ground_truth.assignment)
 
     @property
     def labels(self) -> tuple[tuple[int, int], ...]:

@@ -215,6 +215,7 @@ class ContextPartition:
         return DPolicy(tuple(assignment))  # type: ignore[arg-type]
 
     def policy_names(self, policy: "DPolicy") -> tuple[str, ...]:
+        self.policy_index(policy.assignment)
         return tuple(
             self.behaviors[c][a] for c, a in enumerate(policy.assignment)
         )

@@ -39,6 +39,12 @@ CONTRACT_PROBES, each passing a non-number (or NaN) real, a non-integer
 size or bracket, an array with a string, numeric string, complex or None
 entry, a ragged array, or a ragged policy assignment to a public function.
 
+`api-split-checks/outcomes.txt` holds, in the same form, one line per
+call of SPLIT_PROBES, each passing a Scenario split that repeats a context,
+a ground truth or policy off its partition, a context subset with a repeated
+index, or an unknown sign convention at an infinite optimality gap to a
+public function, next to a valid call of each.
+
 `api-step-bits/bits.txt` holds the float.hex of every coherence_bits row
 of a STEP_BITS_STEPS-step gibbs_run at each beta of EXACT_BETAS, on a dense
 3x3x3 two-latent mixture and on a joint table at epsilon 0 with zero cells,
@@ -184,6 +190,25 @@ CONTRACT_PROBES = (
     "gibbs_run(s, DPolicy(((0, 1), 0, 0)), SamplerConfig(steps=2))",
     "mutual_predictability(s, DPolicy(((0, 1), 0, 0)))",
     "srm_select(s, zero, [DPolicy(((0, 1), 0, 0))], [])",
+)
+
+# evaluated as INDEX_PROBES are
+SPLIT_PROBES = (
+    "Scenario(s, DPolicy((0, 1, 2)), (0, 0), (1, 2), 0).prior_state",
+    "Scenario(s, DPolicy((0, 1, 2)), (0, 1), (1, 1, 2), 0).prior_state",
+    "Scenario(s, DPolicy((0, 1, 2)), (2, 0), (1,), 0).prior_state",
+    'run_semi_supervised(Scenario(s, DPolicy((0, 1)), (0,), (1, 2), 0), "erm").accuracy',
+    'run_semi_supervised(Scenario(s, DPolicy((9, 0, 0)), (0,), (1, 2), 0), "erm").accuracy',
+    "Scenario(s, DPolicy((0, 1, 2, 0)), (0,), (1, 2), 0).labels",
+    "p.policy_names(DPolicy((9, 0, 0)))",
+    "p.policy_names(DPolicy((0,)))",
+    "p.policy_names(DPolicy((0, 1, 2)))",
+    "scenario_to_dict(p, s, DPolicy((9, 0, 0)))",
+    "agreement(DPolicy((0, 1, 2)), DPolicy((0, 0, 0)), [0, 0, 1])",
+    "agreement(DPolicy((0, 1, 2)), DPolicy((0, 0, 0)), [2, 0, 1])",
+    'accuracy_lower_bound(float("inf"), 10, 0.1, "bogus")',
+    'accuracy_lower_bound(float("-inf"), 10, 0.1, "bogus")',
+    'accuracy_lower_bound(float("inf"), 10, 0.1, "paper")',
 )
 
 
@@ -417,8 +442,9 @@ def capture_lines(out: Path, name: str, file: str, lines_of) -> list[str]:
     return failed
 
 
-def capture_api_surface(out: Path) -> None:
-    """Write api-surface/names.txt from dir(cohopt)."""
+def surface_lines() -> list[str]:
+    """One line per public attribute of the cohopt package: its name, then
+    its __module__, or its type name where it has none."""
     cohopt = importlib.import_module("cohopt")
     lines = []
     for name in dir(cohopt):
@@ -426,10 +452,7 @@ def capture_api_surface(out: Path) -> None:
             value = getattr(cohopt, name)
             module = getattr(value, "__module__", None) or type(value).__name__
             lines.append(f"{name} {module}")
-    directory = out / "api-surface"
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "names.txt").write_text("\n".join(lines) + "\n")
-    print("api-surface: written")
+    return lines
 
 
 def run_demos(out: Path, src: Path) -> list[str]:
@@ -496,7 +519,7 @@ def main() -> None:
         if config.is_file():
             config.write_text(config.read_text().replace(f"{SCENARIO_DIR}/", ""))
         print(f"{name}: exit {result.exit_code}")
-    capture_api_surface(args.out)
+    crashed += capture_lines(args.out, "api-surface", "names.txt", surface_lines)
     crashed += capture_lines(args.out, "api-exact-masses", "masses.txt", exact_mass_lines)
     crashed += capture_lines(args.out, "api-oracle", "values.txt", oracle_lines)
     crashed += capture_lines(
@@ -504,6 +527,9 @@ def main() -> None:
     )
     crashed += capture_lines(
         args.out, "api-contract", "outcomes.txt", lambda: probe_lines(CONTRACT_PROBES)
+    )
+    crashed += capture_lines(
+        args.out, "api-split-checks", "outcomes.txt", lambda: probe_lines(SPLIT_PROBES)
     )
     crashed += capture_lines(args.out, "api-step-bits", "bits.txt", step_bits_lines)
     crashed += capture_lines(args.out, "api-wide-bits", "bits.txt", wide_bits_lines)

@@ -32,6 +32,7 @@ from .systems import (
     DPolicy,
     MixtureBayesSystem,
     PolicyState,
+    _check_cap,
     _check_index,
     _check_int,
     _check_mixtures,
@@ -120,13 +121,17 @@ def empirical_distribution(
     record: "RunRecord",
     estimator: str = "uniform-round",
     thin: int = 1,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> PolicyDistribution:
     """Normalized visit counts of a run over its covered policy space.
 
     "uniform-round" counts every round including the initial policy;
     "burnin-thinned" drops the config's burn_in rounds and keeps every
-    thin-th row after that.
+    thin-th row after that. Raises EnumerationCapError where the covered
+    space has more than cap policies, as the other exact tables do.
     """
+    total = math.prod(record.sizes)
+    _check_cap(total, cap)
     indices = record.policy_indices()
     if estimator == "uniform-round":
         kept = indices
@@ -139,7 +144,6 @@ def empirical_distribution(
             f"estimator must be 'uniform-round' or 'burnin-thinned', "
             f"got {estimator!r}"
         )
-    total = math.prod(record.sizes)
     counts = np.bincount(kept, minlength=total).astype(np.float64)
     return PolicyDistribution(
         masses=counts / counts.sum(),

@@ -154,7 +154,7 @@ def _truth_index(
     finite truth_beta and a search that cannot decide enumerate every mass.
     """
     partition = system.partition
-    live = np.count_nonzero(system.latent_weights)
+    live = int(np.count_nonzero(system.latent_weights))  # a Python int: no overflow
     if math.isinf(truth_beta) and partition.policy_count() * live > _BLOCK_ENTRIES:
         ties = _tie_search(
             system.latent_weights,

@@ -15,6 +15,7 @@ import math
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -135,7 +136,10 @@ class RunRecord:
         return DPolicy(tuple(int(a) for a in self.trajectory[i]))
 
     def policy_indices(self) -> np.ndarray:
-        """Mixed-radix index of every visited policy over the covered space."""
+        """Mixed-radix index of every visited policy over the covered space,
+        as int64. Raises EnumerationCapError where the space has more
+        policies than int64 can index (2^63 - 1)."""
+        _check_cap(math.prod(self.sizes), np.iinfo(np.int64).max)
         return np.ravel_multi_index(self.trajectory.T, self.sizes)
 
 
@@ -182,12 +186,18 @@ _DRAW_TABLE_CAP = 4096
 _STEP_BLOCK = 4096
 
 
-def _draw_table(p: np.ndarray, beta: float) -> tuple[list[float], list[float]]:
+def _draw_table(
+    p: np.ndarray, beta: float
+) -> tuple[list[float], list[float], list[float]]:
     """The cum and weights lists that _draw_cumulative reads for one
-    tempered conditional with masses p (the cumsum method is np.cumsum
-    without its wrapper)."""
-    weights = _tempered_weights(p, beta)
-    return weights.cumsum().tolist(), weights.tolist()
+    tempered conditional with masses p, and p as a list: one tolist() of
+    the tempered weights, cum its running sum (np.cumsum adds in the same
+    order, so the bits are the same). At beta 1, where _tempered_weights
+    returns p itself, the weights list is the masses list too."""
+    tempered = _tempered_weights(p, beta)
+    weights = tempered.tolist()
+    masses = weights if tempered is p else p.tolist()
+    return list(accumulate(weights)), weights, masses
 
 
 class _KeptTables:
@@ -310,14 +320,12 @@ class _KeptTables:
             p, top = self.core.predictive(
                 self.numerators(assignment, (position,), rest), position
             )
-            table = self._keep(
-                self.tables, key, (*_draw_table(p, self.beta), p.tolist(), top)
-            )
+            table = self._keep(self.tables, key, (*_draw_table(p, self.beta), top))
         return table
 
     def retained(
         self, assignment: np.ndarray, resampled: tuple[int, ...], rest: int
-    ) -> tuple[np.ndarray, dict[int, tuple[list[float], list[float]]]]:
+    ) -> tuple[np.ndarray, dict[int, tuple[list[float], ...]]]:
         """The retained state of a block round, rest being the state's index
         with the resampled positions zeroed: the posterior weights given the
         prior and every other position, and a dict that predictive() fills
@@ -333,14 +341,14 @@ class _KeptTables:
 
     def predictive(
         self, retained: tuple[np.ndarray, dict], position: int
-    ) -> tuple[list[float], list[float]]:
-        """The draw table of position's tempered predictive given a
+    ) -> tuple[list[float], list[float], list[float]]:
+        """The _draw_table of position's tempered predictive given a
         retained state, built once."""
         weights, tables = retained
         table = tables.get(position)
         if table is None:
             table = tables[position] = _draw_table(
-                weights @ self.core.emissions[position], self.beta
+                weights.dot(self.core.emissions[position]), self.beta
             )
         return table
 
@@ -405,7 +413,7 @@ def _stacked_predictive(
     """Conditioned.predictive of every row of a C-ordered (rows, latents)
     numerator table: the tops, and the masses as one C-ordered (rows,
     behaviors) array. The same ops row-wise; the matmul of a stack of
-    one-row matrices is numpy's loop of the same gemv as weights @ emissions
+    one-row matrices is numpy's loop of the same gemv as weights.dot(emissions)
     (a 2-D matmul is a gemm, whose sums round otherwise). An all -inf row
     gives NaN: callers silence invalid and never read such a row."""
     tops = np.maximum.reduce(table, axis=1)
@@ -704,7 +712,7 @@ def training_friendly_gibbs_run(
             anchor = retained  # round 0's retained state anchors later rounds
         for j in resampled:
             use_anchor = lam > 0.0 and (lam >= 1.0 or rng.random() < lam)
-            cum, weights = kept.predictive(anchor if use_anchor else retained, j)
+            cum, weights, _ = kept.predictive(anchor if use_anchor else retained, j)
             a = _draw_cumulative(cum, weights, rng.random())
             index += (a - state[j]) * strides[j]
             state[j] = assignment[j] = a
@@ -735,9 +743,9 @@ def debate_run(
             )
         state = np.zeros(2, dtype=np.int64)  # (pro, con)
         p = core.predictive(core.base, 0)[0]
-        state[0] = _draw_cumulative(*_draw_table(p, config.beta), rng.random())
+        state[0] = _draw_cumulative(*_draw_table(p, config.beta)[:2], rng.random())
         p = core.leave_one_out(state, 1)[0]
-        state[1] = _draw_cumulative(*_draw_table(p, config.beta), rng.random())
+        state[1] = _draw_cumulative(*_draw_table(p, config.beta)[:2], rng.random())
         return state
 
     core, rng, trajectory, coherence_bits = _start_chain(

@@ -518,7 +518,7 @@ def _predictive(
     system: MixtureBayesSystem, weights: np.ndarray, context: int
 ) -> np.ndarray:
     """infer() at one checked context, from the state's posterior weights."""
-    predictive = weights @ system._emissions[context]
+    predictive = weights.dot(system._emissions[context])
     return predictive / float(np.add.reduce(predictive))
 
 
@@ -1091,7 +1091,7 @@ class Conditioned:
         scale: exp(scale) · p[a] is the marginal likelihood of the state
         plus behavior a."""
         weights, top = self.posterior_weights(log_numerators)
-        return weights @ self.emissions[position], top
+        return weights.dot(self.emissions[position]), top
 
     def leave_one_out(
         self, assignment: Sequence[int], position: int

@@ -58,6 +58,14 @@ instead): a WIDE_STEPS-step gibbs_run and a WIDE_ROUNDS-round
 training_friendly_gibbs_run over 32 latents, and a WIDE_STEPS-step
 gibbs_run over one latent, so a drift of one ulp in that fold shows.
 
+`api-tempered-wide-bits/bits.txt` holds, in the same form, the float.hex
+of every coherence_bits row of the 32-latent wide gibbs_run and
+training_friendly_gibbs_run at beta 0.5, 2 and inf, and of a WIDE_STEPS-
+round debate_run at beta 2 on two contexts of 80 behaviors (6,400 policies,
+past the batched tables). api-wide-bits runs at beta 1 only, where a draw
+table's weights are its masses; these chains build a separate masses list
+on every miss, so a drift of one ulp there shows.
+
 `api-surface/names.txt` holds one line per public attribute of the
 cohopt package: its name, then its `__module__`, or its type name where it
 has none (a submodule or a constant).
@@ -419,6 +427,35 @@ def wide_bits_lines() -> list[str]:
     return lines
 
 
+def tempered_wide_bits_lines() -> list[str]:
+    """A heading line per chain, then the float.hex of each coherence_bits
+    row."""
+    cohopt = importlib.import_module("cohopt")
+    np = importlib.import_module("numpy")
+    rng = np.random.default_rng(11)
+    partition = cohopt.generic_partition([4] * 40)
+    wide = cohopt.random_mixture_system(partition, 32, rng)
+    pair = cohopt.random_mixture_system(cohopt.generic_partition([80, 80]), 32, rng)
+    start = partition.policy_at(0)
+    lines = []
+    for beta in (0.5, 2.0, math.inf):
+        for tag, run, steps, anchor in (
+            ("gibbs", cohopt.gibbs_run, WIDE_STEPS, 0.0),
+            ("tf-gibbs", cohopt.training_friendly_gibbs_run, WIDE_ROUNDS, 0.5),
+        ):
+            config = cohopt.SamplerConfig(
+                beta=beta, steps=steps, seed=3, anchor_weight=anchor
+            )
+            record = run(wide, start, config, check_positivity=False)
+            lines.append(f"{tag} latents=32 beta={beta!r}")
+            lines += map(float.hex, record.coherence_bits.tolist())
+    config = cohopt.SamplerConfig(beta=2.0, steps=WIDE_STEPS, seed=3)
+    record = cohopt.debate_run(pair, config, check_positivity=False)
+    lines.append("debate 80x80 latents=32 beta=2.0")
+    lines += map(float.hex, record.coherence_bits.tolist())
+    return lines
+
+
 def _value(function, *args) -> str:
     """repr of function(*args), a float array as a list; or the exception."""
     try:
@@ -533,6 +570,9 @@ def main() -> None:
     )
     crashed += capture_lines(args.out, "api-step-bits", "bits.txt", step_bits_lines)
     crashed += capture_lines(args.out, "api-wide-bits", "bits.txt", wide_bits_lines)
+    crashed += capture_lines(
+        args.out, "api-tempered-wide-bits", "bits.txt", tempered_wide_bits_lines
+    )
     crashed += run_demos(args.out, args.src.resolve())
     if crashed:
         raise SystemExit(f"crashed or exited nonzero: {', '.join(crashed)}")

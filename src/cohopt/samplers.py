@@ -621,18 +621,37 @@ def gibbs_run(
         lambda core, rng: core.validate(initial),
     )
     k = len(core.contexts)
+    if k == 0:
+        raise ValidationError("gibbs needs at least one covered context, got 0")
     picks = rng.integers(0, k, size=config.steps)
     uniforms = rng.random(config.steps)
     kept = _kept_tables(core, config.beta)
-    tables, strides, log_prior_ml = kept.tables, kept.strides, core.log_prior_ml
-    assignment = trajectory[0].copy()
-    state = assignment.tolist()
+    tables, strides, sizes = kept.tables, kept.strides, core.sizes
+    log_prior_ml = core.log_prior_ml
+    state = trajectory[0].tolist()
     index = kept.index(state)
-    # each step's coherence by index * k + j after the move (one to one with
-    # rest, j, a); kept only where keys <= steps, at about 32 B a visited key
-    # (an 8 B slot and a float object) against 8 B a row of coherence_bits
-    keys = k * math.prod(core.sizes)
-    memo = [None] * keys if keys <= config.steps else None
+    # the int64 state that a miss reads, kept only where the kept tables
+    # fold some single-position conditional per state; elsewhere None, so
+    # that a read fails rather than sees a stale state
+    sync = any((j,) not in kept.foldable for j in range(k))
+    assignment = trajectory[0].copy() if sync else None
+    # where keys <= steps, a slot per (state, position) key index * k + j:
+    # the slots of the states that differ at j alone share one record of
+    # their conditional (rest, j): its draw table, rest, the stride, and the
+    # coherence after each behavior, filled on its first draw
+    keys = k * math.prod(sizes)
+    slots = [None] * keys if keys <= config.steps else None
+
+    def fill(index: int, j: int) -> tuple:
+        """The record of position j's conditional at the state index, put
+        in its slots; a conditional that raises fills none."""
+        stride, size = strides[j], sizes[j]
+        rest = index - index // stride % size * stride
+        if sync:
+            assignment[:] = [index // s % n for s, n in zip(strides, sizes)]
+        record = (*kept.conditional(assignment, j, rest), rest, stride, [None] * size)
+        slots[rest * k + j : (rest + size * stride) * k : stride * k] = [record] * size
+        return record
 
     # the draws as Python numbers, a block of steps at a time, so that
     # converting them adds no memory per step
@@ -640,20 +659,31 @@ def gibbs_run(
         hi = min(lo + _STEP_BLOCK, config.steps)
         drawn: list[int] = []
         bits: list[float] = []
-        for j, u in zip(picks[lo:hi].tolist(), uniforms[lo:hi].tolist()):
-            rest = index - state[j] * strides[j]
-            table = tables.get(rest * k + j) or kept.conditional(assignment, j, rest)
-            cum, weights, masses, top = table
-            a = _draw_cumulative(cum, weights, u)
-            state[j] = assignment[j] = a
-            index = rest + a * strides[j]
-            drawn.append(a)
-            value = None if memo is None else memo[index * k + j]
-            if value is None:
-                value = (top + math.log(masses[a]) - log_prior_ml) / LN2
-                if memo is not None:
-                    memo[index * k + j] = value
-            bits.append(value)
+        if slots is None:
+            for j, u in zip(picks[lo:hi].tolist(), uniforms[lo:hi].tolist()):
+                rest = index - state[j] * strides[j]
+                cum, weights, masses, top = tables.get(
+                    rest * k + j
+                ) or kept.conditional(assignment, j, rest)
+                a = _draw_cumulative(cum, weights, u)
+                state[j] = a
+                if sync:
+                    assignment[j] = a
+                index = rest + a * strides[j]
+                drawn.append(a)
+                bits.append((top + math.log(masses[a]) - log_prior_ml) / LN2)
+        else:
+            for j, u in zip(picks[lo:hi].tolist(), uniforms[lo:hi].tolist()):
+                cum, weights, masses, top, rest, stride, after = (
+                    slots[index * k + j] or fill(index, j)
+                )
+                a = _draw_cumulative(cum, weights, u)
+                index = rest + a * stride
+                drawn.append(a)
+                value = after[a]
+                if value is None:
+                    value = after[a] = (top + math.log(masses[a]) - log_prior_ml) / LN2
+                bits.append(value)
         coherence_bits[lo + 1 : hi + 1] = bits
         _forward_fill(trajectory[lo : hi + 1], picks[lo:hi], drawn)
 
@@ -986,6 +1016,10 @@ def gibbs_step_probability(
     from_asg = core.validate(policy_from)
     to_asg = core.validate(policy_to)
     k = len(core.contexts)
+    if k == 0:
+        raise ValidationError(
+            "the Gibbs kernel needs at least one covered context, got 0"
+        )
     differing = [j for j in range(k) if from_asg[j] != to_asg[j]]
     if len(differing) > 1:
         return 0.0

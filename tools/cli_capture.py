@@ -66,6 +66,16 @@ past the batched tables). api-wide-bits runs at beta 1 only, where a draw
 table's weights are its masses; these chains build a separate masses list
 on every miss, so a drift of one ulp there shows.
 
+`api-slot-bits/bits.txt` holds, after a heading line per chain, one line
+per trajectory row of gibbs_run chains on a dense 3x3x3 two-latent
+mixture at each beta of EXACT_BETAS: its policy index and the float.hex of
+its coherence_bits. The chains run at the edge of the slot table's gate,
+with as many steps as (state, position) keys and with one step fewer, and
+with SLOT_SYNC_STEPS steps under a numerator table budget
+(samplers._BLOCK_ENTRIES) of SLOT_SYNC_ENTRIES, which folds no conditional
+as a table, so that every miss of the slot table reads the chain's int64
+state.
+
 `api-surface/names.txt` holds one line per public attribute of the
 cohopt package: its name, then its `__module__`, or its type name where it
 has none (a submodule or a constant).
@@ -104,6 +114,8 @@ SWEEP_RUNS = ((40, 0), (40, 1), (40, 2), (40, 3), (40, 4), (40, 5), (25, 0))
 STEP_BITS_STEPS = 1000
 WIDE_STEPS = 300
 WIDE_ROUNDS = 100
+SLOT_SYNC_STEPS = 600
+SLOT_SYNC_ENTRIES = 8
 # priors of the oracle capture: the ground truth's two labels, once and twice
 ORACLE_PRIORS = (1, 2)
 POLICIES = (
@@ -456,6 +468,41 @@ def tempered_wide_bits_lines() -> list[str]:
     return lines
 
 
+def slot_bits_lines() -> list[str]:
+    """A heading line per chain, then each trajectory row's policy index
+    and the float.hex of its coherence_bits."""
+    cohopt = importlib.import_module("cohopt")
+    samplers = importlib.import_module("cohopt.samplers")
+    np = importlib.import_module("numpy")
+    rng = np.random.default_rng(13)
+    system = cohopt.random_mixture_system(cohopt.generic_partition([3, 3, 3]), 2, rng)
+    keys = 3 * 27
+    entries = samplers._BLOCK_ENTRIES
+    lines = []
+    for tag, steps, budget in (
+        ("keys", keys, entries),
+        ("keys+1", keys - 1, entries),
+        (f"synced entries={SLOT_SYNC_ENTRIES}", SLOT_SYNC_STEPS, SLOT_SYNC_ENTRIES),
+    ):
+        for beta in EXACT_BETAS:
+            config = cohopt.SamplerConfig(beta=beta, steps=steps, seed=7)
+            samplers._BLOCK_ENTRIES = budget
+            try:
+                record = cohopt.gibbs_run(
+                    system, cohopt.DPolicy((0, 1, 2)), config, check_positivity=False
+                )
+            finally:
+                samplers._BLOCK_ENTRIES = entries
+            lines.append(f"{tag} steps={steps} beta={beta!r}")
+            lines += [
+                f"{index} {bits.hex()}"
+                for index, bits in zip(
+                    record.policy_indices().tolist(), record.coherence_bits.tolist()
+                )
+            ]
+    return lines
+
+
 def _value(function, *args) -> str:
     """repr of function(*args), a float array as a list; or the exception."""
     try:
@@ -573,6 +620,7 @@ def main() -> None:
     crashed += capture_lines(
         args.out, "api-tempered-wide-bits", "bits.txt", tempered_wide_bits_lines
     )
+    crashed += capture_lines(args.out, "api-slot-bits", "bits.txt", slot_bits_lines)
     crashed += run_demos(args.out, args.src.resolve())
     if crashed:
         raise SystemExit(f"crashed or exited nonzero: {', '.join(crashed)}")

@@ -209,16 +209,18 @@ class _KeptTables:
     (position 0 most significant, as RunRecord.policy_indices), a Python
     int that a chain updates by (a_new - a_old)·strides[j] on each move; the
     index with some positions zeroed, together with those positions, keys
-    what is conditioned on the rest. A chain holds its state twice: as a
-    list, which the index arithmetic reads, and as the int64 array that the
-    core reads on a miss. gibbs_run looks its tables up inline before it
-    calls conditional(). Each dict is dropped whenever _DRAW_TABLE_CAP
-    entries are kept, which bounds its memory on chains whose states never
-    repeat. Retained states and coherences are kept by one rule, chosen
-    from the covered space: on first sight where it has at most
-    _DRAW_TABLE_CAP policies, so that each is computed once; otherwise only
-    once a key comes round a second time, so that a wide chain, whose states
-    never repeat, holds the hash of each key instead of an entry. A
+    what is conditioned on the rest. A chain holds its state as a list,
+    which the index arithmetic reads (gibbs_run's slot table reads the index
+    alone), and passes each lookup the int64 array that the core reads on a
+    miss. gibbs_run writes that array only where some single-position skip
+    is not foldable, and passes None elsewhere; it looks its tables up
+    inline before it calls conditional(). Each dict is dropped whenever
+    _DRAW_TABLE_CAP entries are kept, which bounds its memory on chains
+    whose states never repeat. Retained states and coherences are kept by
+    one rule, chosen from the covered space: on first sight where it has at
+    most _DRAW_TABLE_CAP policies, so that each is computed once; otherwise
+    only once a key comes round a second time, so that a wide chain, whose
+    states never repeat, holds the hash of each key instead of an entry. A
     conditional or leave-one-out that raises is not kept and raises again on
     every later visit. A chain validated its start, and every draw is in
     range, so these skip the assignment check of leave_one_out and
@@ -626,8 +628,7 @@ def gibbs_run(
     picks = rng.integers(0, k, size=config.steps)
     uniforms = rng.random(config.steps)
     kept = _kept_tables(core, config.beta)
-    tables, strides, sizes = kept.tables, kept.strides, core.sizes
-    log_prior_ml = core.log_prior_ml
+    tables, strides, log_prior_ml = kept.tables, kept.strides, core.log_prior_ml
     state = trajectory[0].tolist()
     index = kept.index(state)
     # the int64 state that a miss reads, kept only where the kept tables
@@ -639,16 +640,16 @@ def gibbs_run(
     # the slots of the states that differ at j alone share one record of
     # their conditional (rest, j): its draw table, rest, the stride, and the
     # coherence after each behavior, filled on its first draw
-    keys = k * math.prod(sizes)
+    keys = k * math.prod(core.sizes)
     slots = [None] * keys if keys <= config.steps else None
 
     def fill(index: int, j: int) -> tuple:
         """The record of position j's conditional at the state index, put
         in its slots; a conditional that raises fills none."""
-        stride, size = strides[j], sizes[j]
+        stride, size = strides[j], core.sizes[j]
         rest = index - index // stride % size * stride
         if sync:
-            assignment[:] = [index // s % n for s, n in zip(strides, sizes)]
+            assignment[:] = [index // s % n for s, n in zip(strides, core.sizes)]
         record = (*kept.conditional(assignment, j, rest), rest, stride, [None] * size)
         slots[rest * k + j : (rest + size * stride) * k : stride * k] = [record] * size
         return record
@@ -1017,9 +1018,7 @@ def gibbs_step_probability(
     to_asg = core.validate(policy_to)
     k = len(core.contexts)
     if k == 0:
-        raise ValidationError(
-            "the Gibbs kernel needs at least one covered context, got 0"
-        )
+        raise ValidationError("the kernel needs at least one covered context, got 0")
     differing = [j for j in range(k) if from_asg[j] != to_asg[j]]
     if len(differing) > 1:
         return 0.0

@@ -27,6 +27,8 @@ from .systems import (
     ContextPartition,
     DPolicy,
     MixtureBayesSystem,
+    _check_object,
+    _check_real,
     _check_reals,
     from_joint_table,
 )
@@ -126,12 +128,24 @@ class ScenarioFile:
     ground_truth: DPolicy | None = None
 
 
-def _require(data, key: str, path: str):
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: must be an object")
-    if key not in data:
-        raise ValidationError(f"{path}.{key}: missing required key")
-    return data[key]
+def _check_list(data, where: str, strings: bool = False) -> list:
+    """data, after raising ValidationError unless it is a non-empty JSON array
+    and, with strings, each entry j (named where[j]) is a string."""
+    if not isinstance(data, list) or not data:
+        raise ValidationError(f"{where}: must be a non-empty list")
+    for j, item in enumerate(data if strings else ()):
+        if not isinstance(item, str):
+            raise ValidationError(f"{where}[{j}]: must be a string, got {item!r}")
+    return data
+
+
+def _at(where: str, build, *args):
+    """build(*args), with where prefixed to the message of a ValidationError
+    it raises: the key path of the object it was built from."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> ScenarioFile:
@@ -141,7 +155,8 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     either {type: "mixture", latent_weights, emissions} with emissions indexed
     [latent][context][behavior], or {type: "joint_table", table, epsilon} with
     the table nested by context order. ground_truth (optional) lists one
-    behavior name per context.
+    behavior name per context. Every object goes through _check_object, so a
+    missing or unknown key at any level is a ValidationError citing its path.
     """
     path = Path(path)
     if not path.exists():
@@ -150,98 +165,60 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: top level must be an object")
+    _check_object(data, "", ("partition", "system"), ("ground_truth", "name", "description"))
 
-    part_data = _require(data, "partition", path.name)
-    contexts = _require(part_data, "contexts", "partition")
-    if not isinstance(contexts, list) or not contexts:
-        raise ValidationError("partition.contexts: must be a non-empty list")
+    part_data = _check_object(data["partition"], "partition", ("contexts",))
     names, behaviors = [], []
-    for i, entry in enumerate(contexts):
-        name = _require(entry, "name", f"partition.contexts[{i}]")
-        if not isinstance(name, str):
-            raise ValidationError(
-                f"partition.contexts[{i}].name: must be a string, got {name!r}"
-            )
-        names.append(name)
-        row = _require(entry, "behaviors", f"partition.contexts[{i}]")
-        if not isinstance(row, list) or not row:
-            raise ValidationError(
-                f"partition.contexts[{i}].behaviors: must be a non-empty list"
-            )
-        for j, b in enumerate(row):
-            if not isinstance(b, str):
-                raise ValidationError(
-                    f"partition.contexts[{i}].behaviors[{j}]: must be a "
-                    f"string, got {b!r}"
-                )
-        behaviors.append(row)
-    try:
-        partition = ContextPartition(names, behaviors)
-    except ValidationError as exc:
-        raise ValidationError(f"partition: {exc}") from exc
+    for i, entry in enumerate(_check_list(part_data["contexts"], "partition.contexts")):
+        where = f"partition.contexts[{i}]"
+        entry = _check_object(entry, where, ("name", "behaviors"))
+        if not isinstance(entry["name"], str):
+            raise ValidationError(f"{where}.name: must be a string, got {entry['name']!r}")
+        names.append(entry["name"])
+        behaviors.append(_check_list(entry["behaviors"], f"{where}.behaviors", True))
+    partition = _at("partition", ContextPartition, names, behaviors)
 
-    sys_data = _require(data, "system", path.name)
-    kind = _require(sys_data, "type", "system")
-    known = {"partition", "system", "ground_truth", "name", "description"}
-    for key in data:
-        if key not in known:
-            raise ValidationError(f"{key}: unknown top-level key")
-
+    sys_data = data["system"]
+    # type names the other keys: none is unknown until it is read
+    kind = _check_object(sys_data, "system", ("type",), sys_data)["type"]
     if kind == "mixture":
-        weights = _require(sys_data, "latent_weights", "system")
-        emissions_data = _require(sys_data, "emissions", "system")
-        if not isinstance(weights, list):
-            raise ValidationError("system.latent_weights: must be a list")
+        _check_object(sys_data, "system", ("type", "latent_weights", "emissions"))
+        weights = _check_list(sys_data["latent_weights"], "system.latent_weights")
         weights = _check_reals(weights, "system.latent_weights")
-        if not isinstance(emissions_data, list) or len(emissions_data) != len(weights):
-            raise ValidationError(
-                "system.emissions: need one emission block per latent"
-            )
+        emissions_data = _check_list(sys_data["emissions"], "system.emissions")
+        if len(emissions_data) != len(weights):
+            raise ValidationError("system.emissions: need one emission block per latent")
+        n = partition.n_contexts
         emissions = []
-        for c in range(partition.n_contexts):
+        for c in range(n):
             key = f"system.emissions[*][{c}]"
             try:
                 rows = [block[c] for block in emissions_data]
             except (IndexError, KeyError, TypeError) as exc:
                 raise ValidationError(f"{key}: malformed rows ({exc})") from exc
             emissions.append(_check_reals(rows, key))
-        try:
-            system = MixtureBayesSystem(partition, weights, emissions)
-        except ValidationError as exc:
-            raise ValidationError(f"system: {exc}") from exc
+        # every block is a list now: indexing anything else failed above
+        for t, block in enumerate(emissions_data):
+            if len(block) != n:
+                raise ValidationError(
+                    f"system.emissions[{t}]: holds {len(block)} context rows, not {n}"
+                )
+        system = _at("system", MixtureBayesSystem, partition, weights, emissions)
     elif kind == "joint_table":
-        table = _require(sys_data, "table", "system")
-        epsilon = sys_data.get("epsilon", 0.0)
-        if not isinstance(epsilon, (int, float)):
-            raise ValidationError(
-                f"system.epsilon: must be a number, got {epsilon!r}"
-            )
-        try:
-            system = from_joint_table(partition, table, epsilon)
-        except ValidationError as exc:
-            raise ValidationError(f"system.table: {exc}") from exc
+        _check_object(sys_data, "system", ("type", "table"), ("epsilon",))
+        epsilon = _check_real(sys_data.get("epsilon", 0.0), "system.epsilon", "[0, 1)")
+        table = sys_data["table"]
+        system = _at("system.table", from_joint_table, partition, table, epsilon)
     else:
         raise ValidationError(
             f"system.type: must be 'mixture' or 'joint_table', got {kind!r}"
         )
 
-    ground_truth = None
-    if data.get("ground_truth") is not None:
-        if not isinstance(data["ground_truth"], list):
-            raise ValidationError(
-                "ground_truth: must be a list of behavior names"
-            )
-        try:
-            ground_truth = partition.policy_from_names(
-                [str(n) for n in data["ground_truth"]]
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"ground_truth: {exc}") from exc
-    return ScenarioFile(
-        partition=partition, system=system, ground_truth=ground_truth
-    )
+    ground_truth = data.get("ground_truth")
+    if ground_truth is not None:
+        names = _check_list(ground_truth, "ground_truth", True)
+        ground_truth = _at("ground_truth", partition.policy_from_names, names)
+    return ScenarioFile(partition, system, ground_truth)
 
 
 def scenario_to_dict(

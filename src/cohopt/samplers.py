@@ -14,7 +14,7 @@ import bisect
 import math
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import accumulate
 
 import numpy as np
@@ -31,6 +31,7 @@ from .systems import (
     _check_cap,
     _check_index,
     _check_int,
+    _check_object,
     _check_real,
     _tempered_rows,
     _tempered_weights,
@@ -86,20 +87,17 @@ class SamplerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SamplerConfig":
-        return cls(
-            beta=_read_float(data, "beta", 1.0),  # reads "inf" as well
-            steps=data.get("steps", 1000),
-            seed=data.get("seed", 0),
-            gamma=_read_float(data, "gamma", 0.85),
-            anchor_weight=_read_float(data, "anchor_weight", 0.0),
-            burn_in=data.get("burn_in", 0),
-        )
+        """The config of the fields data names, the rest at their defaults;
+        any other key, or data other than a dict, is a ValidationError."""
+        _check_object(data, "config", (), [f.name for f in fields(cls)])
+        reals = [name for name in ("beta", "gamma", "anchor_weight") if name in data]
+        return cls(**{**data, **{name: _read_float(data, name) for name in reals}})
 
 
-def _read_float(data: dict, name: str, default: float) -> float:
-    """float() of data[name] (default if absent), a string such as "inf"
-    included; ValidationError where float() cannot read it."""
-    value = data.get(name, default)
+def _read_float(data: dict, name: str) -> float:
+    """float() of data[name], a string such as "inf" included;
+    ValidationError where float() cannot read it."""
+    value = data[name]
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):

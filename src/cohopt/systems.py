@@ -637,6 +637,23 @@ def _check_reals(values, name: str, index: int | None = None) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
+def _check_object(data, where: str, required: Collection[str], optional=()) -> dict:
+    """data, after raising ValidationError unless it is a JSON object (a
+    dict) holding every required key and no key beyond the optional ones:
+    the one test of an object from outside. where is its key path ("" at a
+    file's top level); each error names the path of the key at fault."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where or 'top level'}: must be an object")
+    prefix = f"{where}." if where else ""
+    for key in required:
+        if key not in data:
+            raise ValidationError(f"{prefix}{key}: missing required key")
+    for key in data:
+        if key not in required and key not in optional:
+            raise ValidationError(f"{prefix}{key}: unknown key")
+    return data
+
+
 def _check_masses(a: np.ndarray, name: str, atol: float | None = None):
     """(smallest, largest) entry of a non-empty float64 array, after raising
     ValidationError unless each is finite and non-negative and, with atol,
@@ -868,10 +885,13 @@ def _tie_search(
 
     Returns None where the floor lower·2^-1e-12 is below _TIE_FLOOR, and
     where a level would hold more than _BLOCK_ENTRIES entries, the kernel's
-    own memory bound (near-uniform systems prune too little).
+    own memory bound (near-uniform systems prune too little), or where the
+    latents × latents argmax table would.
     """
     _check_cap(math.prod(sizes), cap)
     latents = np.flatnonzero(weights)
+    if latents.size**2 > _BLOCK_ENTRIES:
+        return None
     live = weights[latents]
     tables = [table[latents] for table in emissions]
     # suffix[j]: per latent, the product of its row maxima from position j on

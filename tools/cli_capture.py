@@ -76,6 +76,16 @@ with SLOT_SYNC_STEPS steps under a numerator table budget
 as a table, so that every miss of the slot table reads the chain's int64
 state.
 
+`api-scenario-checks/outcomes.txt` holds one line per scenario file of
+SCENARIO_PROBES, loaded by load_scenario from a file named scenario.json:
+`label -> ok`, or `label -> <type>: <message>` with the exception it
+raised, where the file's directory is replaced by `<tmp>`. The files are
+valid ones and malformed ones: an unknown key at every level, an emission
+block with an extra context row, a bad epsilon, a ground truth that is not
+a list of strings, and the shapes of the CLI tests' malformed scenarios.
+Then, in the same form, one line per mapping of CONFIG_PROBES given to
+SamplerConfig.from_dict.
+
 `api-surface/names.txt` holds one line per public attribute of the
 cohopt package: its name, then its `__module__`, or its type name where it
 has none (a submodule or a constant).
@@ -93,6 +103,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import math
 import os
 import shutil
@@ -230,6 +241,73 @@ SPLIT_PROBES = (
     'accuracy_lower_bound(float("-inf"), 10, 0.1, "bogus")',
     'accuracy_lower_bound(float("inf"), 10, 0.1, "paper")',
 )
+
+# one context over behaviors x and y, and a system of each type on it
+_CONTEXT = {"name": "a", "behaviors": ["x", "y"]}
+_MIXTURE = {"type": "mixture", "latent_weights": [0.5, 0.5], "emissions": [[[0.9, 0.1]], [[0.2, 0.8]]]}
+_JOINT = {"type": "joint_table", "table": [0.5, 0.5], "epsilon": 0.0}
+
+
+def _scenario(system=_MIXTURE, context=_CONTEXT, **top) -> dict:
+    return {"partition": {"contexts": [context]}, "system": system, **top}
+
+
+SCENARIO_PROBES = {
+    "mixture": _scenario(),
+    "joint": _scenario(_JOINT),
+    "joint-no-epsilon": _scenario({"type": "joint_table", "table": [0.5, 0.5]}),
+    "name-description-null-truth": _scenario(name="n", description="d", ground_truth=None),
+    "truth": _scenario(ground_truth=["y"]),
+    "top-level-list": [],
+    "top-level-unknown-key": _scenario(extra=1),
+    "top-level-no-system": {"partition": {"contexts": [_CONTEXT]}},
+    "partition-unknown-key": {"partition": {"contexts": [_CONTEXT], "extra": 1}, "system": _MIXTURE},
+    "partition-no-contexts": {"partition": {}, "system": _MIXTURE},
+    "contexts-empty": {"partition": {"contexts": []}, "system": _MIXTURE},
+    "context-unknown-key": _scenario(context={**_CONTEXT, "extra": 1}),
+    "context-no-behaviors": _scenario(context={"name": "a"}),
+    "context-repeated-behavior": _scenario(context={"name": "a", "behaviors": ["x", "x"]}),
+    "system-no-type": _scenario({"table": [0.5, 0.5]}),
+    "system-type-unknown": _scenario({"type": "table"}),
+    "mixture-unknown-key": _scenario({**_MIXTURE, "latent_weight": [1.0]}),
+    "mixture-epsilon": _scenario({**_MIXTURE, "epsilon": 0.1}),
+    "mixture-no-emissions": _scenario({"type": "mixture", "latent_weights": [1.0]}),
+    "joint-unknown-key": _scenario({**_JOINT, "latent_weights": [1.0]}),
+    "emissions-extra-context-row": _scenario(
+        {**_MIXTURE, "emissions": [[[0.9, 0.1], [0.3, 0.7]], [[0.2, 0.8], [1.0]]]}
+    ),
+    "emissions-missing-context-row": _scenario({**_MIXTURE, "emissions": [[[0.9, 0.1]], []]}),
+    "emissions-one-block": _scenario({**_MIXTURE, "emissions": [[[0.9, 0.1]]]}),
+    "emissions-row-sum": _scenario({**_MIXTURE, "emissions": [[[0.9, 0.2]], [[0.2, 0.8]]]}),
+    "weights-sum": _scenario({**_MIXTURE, "latent_weights": [0.5, 0.6]}),
+    "weights-empty": _scenario({**_MIXTURE, "latent_weights": []}),
+    "table-shape": _scenario({**_JOINT, "table": [0.5, 0.25, 0.25]}),
+    "epsilon-1.5": _scenario({**_JOINT, "epsilon": 1.5}),
+    "epsilon--0.1": _scenario({**_JOINT, "epsilon": -0.1}),
+    "epsilon-nan": _scenario({**_JOINT, "epsilon": math.nan}),
+    "epsilon-true": _scenario({**_JOINT, "epsilon": True}),
+    "ground-truth-int": {
+        "partition": {"contexts": [{"name": "a", "behaviors": ["5", "y"]}]},
+        "system": _MIXTURE,
+        "ground_truth": [5],
+    },
+    "ground-truth-unknown-name": _scenario(ground_truth=["z"]),
+    "ground-truth-too-long": _scenario(ground_truth=["x", "y"]),
+    # the shapes of MALFORMED_SCENARIOS in tests/test_cli.py
+    "epsilon-string": _scenario({**_JOINT, "epsilon": "abc"}),
+    "epsilon-null": _scenario({**_JOINT, "epsilon": None}),
+    "weights-number": _scenario({**_MIXTURE, "latent_weights": 5}),
+    "weights-string": _scenario({**_MIXTURE, "latent_weights": "ab"}),
+    "weights-strings": _scenario({**_MIXTURE, "latent_weights": ["a", "b"]}),
+    "emissions-number": _scenario({**_MIXTURE, "emissions": 5}),
+    "emissions-block-object": _scenario({**_MIXTURE, "emissions": [[[0.9, 0.1]], {}]}),
+    "behavior-null": _scenario(context={"name": "a", "behaviors": ["x", None]}),
+    "context-name-list": _scenario(context={"name": ["x"], "behaviors": ["x", "y"]}),
+    "partition-number": {"partition": 5, "system": _MIXTURE},
+    "system-number": _scenario(5),
+    "ground-truth-string": _scenario(ground_truth="x"),
+}
+CONFIG_PROBES = ({"betta": 2.0}, [], {"beta": "inf", "steps": 3}, {})
 
 
 def commands() -> list[tuple[str, list[str], bool]]:
@@ -389,6 +467,32 @@ def probe_lines(probes: tuple[str, ...]) -> list[str]:
         value = value.tolist() if hasattr(value, "tolist") else value
         lines.append(f"{label} -> ok {value!r}")
     return lines
+
+
+def scenario_check_lines() -> list[str]:
+    """`label -> ok` or `label -> <type>: <message>` per scenario file of
+    SCENARIO_PROBES, then per mapping of CONFIG_PROBES."""
+    cohopt = importlib.import_module("cohopt")
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        for label, payload in SCENARIO_PROBES.items():
+            path.write_text(json.dumps(payload))
+            outcome = _outcome(cohopt.load_scenario, path)
+            lines.append(f"{label} -> {outcome.replace(tmp, '<tmp>')}")
+    for data in CONFIG_PROBES:
+        outcome = _outcome(cohopt.SamplerConfig.from_dict, data)
+        lines.append(f"SamplerConfig.from_dict({data!r}) -> {outcome}")
+    return lines
+
+
+def _outcome(function, *args) -> str:
+    """`ok`, or `<type>: <message>` of the exception function(*args) raised."""
+    try:
+        function(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
 
 
 def step_bits_lines() -> list[str]:
@@ -614,6 +718,9 @@ def main() -> None:
     )
     crashed += capture_lines(
         args.out, "api-split-checks", "outcomes.txt", lambda: probe_lines(SPLIT_PROBES)
+    )
+    crashed += capture_lines(
+        args.out, "api-scenario-checks", "outcomes.txt", scenario_check_lines
     )
     crashed += capture_lines(args.out, "api-step-bits", "bits.txt", step_bits_lines)
     crashed += capture_lines(args.out, "api-wide-bits", "bits.txt", wide_bits_lines)
